@@ -48,6 +48,15 @@ double NowSeconds() {
       .count();
 }
 
+// Operation latencies are recorded in steady-clock nanoseconds: a
+// whole-microsecond cast rounds most point operations down to 0.
+uint64_t NowNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 struct PhaseResult {
   uint64_t ops = 0;
   double wall_seconds = 0.0;
@@ -64,12 +73,12 @@ struct PhaseResult {
   }
 };
 
-void FillPercentiles(std::vector<uint32_t>& lat, PhaseResult* r) {
-  if (lat.empty()) return;
+void FillPercentiles(std::vector<uint64_t>& lat_ns, PhaseResult* r) {
+  if (lat_ns.empty()) return;
   auto nth = [&](double q) {
-    size_t idx = static_cast<size_t>(q * (lat.size() - 1));
-    std::nth_element(lat.begin(), lat.begin() + idx, lat.end());
-    return static_cast<double>(lat[idx]);
+    size_t idx = static_cast<size_t>(q * (lat_ns.size() - 1));
+    std::nth_element(lat_ns.begin(), lat_ns.begin() + idx, lat_ns.end());
+    return static_cast<double>(lat_ns[idx]) / 1e3;
   };
   r->p50_us = nth(0.50);
   r->p99_us = nth(0.99);
@@ -136,7 +145,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
   // threads — writes to different shards contend on nothing above the
   // drive model, so concurrent drivers keep every shard's pipeline fed.
   {
-    std::vector<std::vector<uint32_t>> lats(nthreads);
+    std::vector<std::vector<uint64_t>> lats(nthreads);
     std::vector<uint64_t> ops(nthreads, 0);
     std::atomic<bool> failed{false};
     const double wall0 = NowSeconds();
@@ -153,10 +162,9 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
         const uint64_t id = rnd.Next64() % entries;
         const std::string key = MakeKey(id, params.key_bytes);
         const std::string value = MakeValue(i, params.value_bytes());
-        const double t0 = NowSeconds();
+        const uint64_t t0 = NowNanos();
         const Status ps = db->Put(wo, key, value);
-        lats[t].push_back(
-            static_cast<uint32_t>((NowSeconds() - t0) * 1e6));
+        lats[t].push_back(NowNanos() - t0);
         if (!ps.ok()) {
           std::fprintf(stderr, "put failed: %s\n", ps.ToString().c_str());
           failed.store(true, std::memory_order_relaxed);
@@ -177,7 +185,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
     out.fill.drain_seconds = NowSeconds() - drain0;
     out.fill.wall_seconds = NowSeconds() - wall0;
     out.fill.device_seconds = stack->device_stats().busy_seconds - dev0;
-    std::vector<uint32_t> lat;
+    std::vector<uint64_t> lat;
     for (int t = 0; t < nthreads; t++) {
       out.fill.ops += ops[t];
       lat.insert(lat.end(), lats[t].begin(), lats[t].end());
@@ -188,7 +196,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
   // Point reads over the loaded keys: hotspot mix by default (see header),
   // uniformly random with --uniform. Same driver-thread split as the fill.
   {
-    std::vector<std::vector<uint32_t>> lats(nthreads);
+    std::vector<std::vector<uint64_t>> lats(nthreads);
     std::vector<uint64_t> ops(nthreads, 0);
     const uint64_t hot_span = std::max<uint64_t>(1, entries / 100);
     const double wall0 = NowSeconds();
@@ -217,10 +225,9 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
           id = rnd.Next64() % hot_span;
         }
         const std::string key = MakeKey(id, params.key_bytes);
-        const double t0 = NowSeconds();
+        const uint64_t t0 = NowNanos();
         db->Get(ro, key, &value);
-        lats[t].push_back(
-            static_cast<uint32_t>((NowSeconds() - t0) * 1e6));
+        lats[t].push_back(NowNanos() - t0);
         ops[t]++;
       }
     };
@@ -233,7 +240,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
     }
     out.read.wall_seconds = NowSeconds() - wall0;
     out.read.device_seconds = stack->device_stats().busy_seconds - dev0;
-    std::vector<uint32_t> lat;
+    std::vector<uint64_t> lat;
     for (int t = 0; t < nthreads; t++) {
       out.read.ops += ops[t];
       lat.insert(lat.end(), lats[t].begin(), lats[t].end());
@@ -309,7 +316,7 @@ PhaseResult RunMixedPhase(Stack* stack, const BenchParams& params,
   DB* db = stack->db();
   const uint64_t entries = params.entries();
   PhaseResult out;
-  std::vector<std::vector<uint32_t>> lats(nthreads);
+  std::vector<std::vector<uint64_t>> lats(nthreads);
   std::vector<uint64_t> ops(nthreads, 0);
   const double wall0 = NowSeconds();
   const double dev0 = stack->device_stats().busy_seconds;
@@ -326,13 +333,13 @@ PhaseResult RunMixedPhase(Stack* stack, const BenchParams& params,
     for (uint64_t i = 0; i < n; i++) {
       const uint64_t id = zipf.Next() % entries;
       const std::string key = MakeKey(id, params.key_bytes);
-      const double t0 = NowSeconds();
+      const uint64_t t0 = NowNanos();
       if (rnd.Uniform(100) < 50) {
         db->Get(ro, key, &value);
       } else {
         db->Put(wo, key, MakeValue(i, params.value_bytes()));
       }
-      lats[t].push_back(static_cast<uint32_t>((NowSeconds() - t0) * 1e6));
+      lats[t].push_back(NowNanos() - t0);
       ops[t]++;
     }
   };
@@ -344,7 +351,7 @@ PhaseResult RunMixedPhase(Stack* stack, const BenchParams& params,
   out.drain_seconds = NowSeconds() - drain0;
   out.wall_seconds = NowSeconds() - wall0;
   out.device_seconds = stack->device_stats().busy_seconds - dev0;
-  std::vector<uint32_t> lat;
+  std::vector<uint64_t> lat;
   for (int t = 0; t < nthreads; t++) {
     out.ops += ops[t];
     lat.insert(lat.end(), lats[t].begin(), lats[t].end());
@@ -416,8 +423,8 @@ void EmitPhase(std::FILE* f, const char* name, const PhaseResult& r,
                "    \"%s\": {\"ops\": %llu, \"wall_seconds\": %.4f, "
                "\"drain_seconds\": %.4f, "
                "\"device_seconds\": %.4f, \"wall_ops_per_second\": %.1f, "
-               "\"device_ops_per_second\": %.1f, \"p50_us\": %.1f, "
-               "\"p99_us\": %.1f}%s\n",
+               "\"device_ops_per_second\": %.1f, \"p50_us\": %.3f, "
+               "\"p99_us\": %.3f}%s\n",
                name, static_cast<unsigned long long>(r.ops), r.wall_seconds,
                r.drain_seconds,
                r.device_seconds, r.wall_ops_per_second(),

@@ -558,8 +558,10 @@ struct SealServer::Impl {
   // Over the connection cap: answer with one typed kBusy error frame (so
   // the peer can back off and retry) and close. The fd is still blocking
   // here; the single send either lands in the socket buffer immediately or
-  // the peer was never going to read it.
+  // the peer was never going to read it. The rejection is counted before
+  // the send, so a peer that has seen the Busy frame also sees it counted.
   void RejectConnection(int fd) {
+    c_rej_conns_->Inc();
     std::string payload;
     net::EncodeStatusRecord(
         &payload, Status::Busy("too many connections; retry later"));
@@ -568,7 +570,6 @@ struct SealServer::Impl {
                      /*request_id=*/0, payload);
     (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
     net::CloseFd(fd);
-    c_rej_conns_->Inc();
   }
 
   void ReadAndDispatch(const ConnPtr& conn) {

@@ -2,6 +2,7 @@
 // bloom, cache, histogram, logging, slice, status, comparator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 #include <string>
@@ -219,6 +220,61 @@ TEST(Crc32c, Mask) {
   EXPECT_EQ(crc, crc32c::Unmask(crc32c::Mask(crc)));
   EXPECT_EQ(crc, crc32c::Unmask(crc32c::Unmask(
                      crc32c::Mask(crc32c::Mask(crc)))));
+}
+
+TEST(Crc32c, PortableKernelStandardResults) {
+  // The table kernel stays the fallback, so it must hold the rfc3720
+  // vectors whichever kernel Extend dispatches to on this CPU.
+  char buf[32];
+  memset(buf, 0, sizeof(buf));
+  EXPECT_EQ(0x8a9136aau, crc32c::internal::ExtendPortable(0, buf, 32));
+  memset(buf, 0xff, sizeof(buf));
+  EXPECT_EQ(0x62a8ab43u, crc32c::internal::ExtendPortable(0, buf, 32));
+  for (int i = 0; i < 32; i++) buf[i] = i;
+  EXPECT_EQ(0x46dd794eu, crc32c::internal::ExtendPortable(0, buf, 32));
+}
+
+TEST(Crc32c, HardwareMatchesPortable) {
+  if (!crc32c::internal::IsHardwareAccelerated()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32; Extend is the portable kernel";
+  }
+  constexpr size_t kMaxLen = 4100;
+  constexpr size_t kMaxOffset = 7;
+  Random rnd(301);
+  std::string buf(kMaxLen + kMaxOffset, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+
+  // Every length through a block-sized buffer, at every start offset
+  // modulo 8, so the 8-byte loads are exercised unaligned and every tail
+  // length meets every word count.
+  for (size_t off = 0; off <= kMaxOffset; off++) {
+    for (size_t n = 0; n <= kMaxLen; n++) {
+      const char* p = buf.data() + off;
+      const uint32_t init = (n % 3 == 0) ? 0 : rnd.Next();
+      ASSERT_EQ(crc32c::internal::ExtendPortable(init, p, n),
+                crc32c::Extend(init, p, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+
+  // A checksum built by chained Extend calls split at arbitrary points
+  // equals the one-shot checksum of either kernel.
+  for (int iter = 0; iter < 2000; iter++) {
+    const size_t off = rnd.Uniform(kMaxOffset + 1);
+    const size_t n = rnd.Uniform(static_cast<int>(kMaxLen) + 1);
+    const char* p = buf.data() + off;
+    uint32_t chained = 0;
+    size_t pos = 0;
+    while (pos < n) {
+      const size_t piece =
+          std::min<size_t>(n - pos, 1 + rnd.Uniform(rnd.OneIn(4) ? 16 : 600));
+      chained = crc32c::Extend(chained, p + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(crc32c::internal::ExtendPortable(0, p, n), chained)
+        << "offset " << off << " length " << n;
+    ASSERT_EQ(crc32c::Value(p, n), chained);
+  }
 }
 
 // ---------------------------------------------------------------- hash
