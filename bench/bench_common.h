@@ -63,6 +63,12 @@ struct BenchParams {
 std::string MakeKey(uint64_t id, uint64_t key_bytes);
 std::string MakeValue(uint64_t seed, uint64_t value_bytes);
 
+// Simulated drive busy time so far (the device-currency clock): phases
+// report the difference of two readings.
+inline double DeviceBusySeconds(baselines::Stack* stack) {
+  return stack->drive()->metrics().busy->Seconds();
+}
+
 struct LoadResult {
   uint64_t entries = 0;
   uint64_t user_bytes = 0;
@@ -96,10 +102,6 @@ ReadResult SequentialRead(baselines::Stack* stack, uint64_t entries,
 void PrintHeader(const std::string& title);
 void PrintKV(const std::string& key, const std::string& value);
 void PrintKV(const std::string& key, double value, const char* unit = "");
-
-// One-line device summary (traffic, AWA, and — when nonzero — the fault
-// counters: read/write errors, torn writes, crashes).
-void PrintDeviceStats(const std::string& key, const smr::DeviceStats& stats);
 
 std::string FormatMB(uint64_t bytes);
 

@@ -43,18 +43,15 @@ int main(int argc, char** argv) {
     const double wa = stack->wa();
     const double awa = stack->awa();
     const double mwa = stack->mwa();
-    const smr::DeviceStats dev = stack->device_stats();
+    const smr::DeviceMetrics& dev = stack->drive()->metrics();
     std::printf("%-14s %8.2f %8.2f %8.2f %12.1f %12.1f %9.2f %9llu %8llu\n",
                 baselines::SystemName(kind), wa, awa, mwa,
-                dev.logical_bytes_written / 1048576.0,
-                dev.physical_bytes_written / 1048576.0, dev.busy_seconds,
-                static_cast<unsigned long long>(dev.seeks),
-                static_cast<unsigned long long>(dev.rmw_ops));
+                dev.logical_write->Value() / 1048576.0,
+                dev.physical_write->Value() / 1048576.0, dev.busy->Seconds(),
+                static_cast<unsigned long long>(dev.seeks->Value()),
+                static_cast<unsigned long long>(dev.rmw_ops->Value()));
     if (kind == baselines::SystemKind::kLevelDB) leveldb_mwa = mwa;
     if (kind == baselines::SystemKind::kSEALDB) sealdb_mwa = mwa;
-    PrintDeviceStats(std::string("  device [") +
-                         baselines::SystemName(kind) + "]",
-                     dev);
   }
 
   if (sealdb_mwa > 0) {

@@ -113,7 +113,7 @@ struct ConfigResult {
 ConfigResult RunConfig(const BenchParams& params, const std::string& label,
                        int workers, bool executor_features,
                        bool uniform_reads, int num_shards,
-                       int client_threads, uint64_t buffer_pool_bytes = 0,
+                       int client_threads, uint64_t buffer_pool_bytes,
                        bool zipfian_reads = false) {
   ConfigResult out;
   out.label = label;
@@ -125,7 +125,6 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
   config.inline_compactions = false;
   config.max_background_compactions = workers;
   config.compaction_readahead = executor_features;
-  config.enable_block_cache = executor_features;
   config.buffer_pool_bytes = buffer_pool_bytes;
   config.num_shards = num_shards;
 
@@ -149,7 +148,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
     std::vector<uint64_t> ops(nthreads, 0);
     std::atomic<bool> failed{false};
     const double wall0 = NowSeconds();
-    const double dev0 = stack->device_stats().busy_seconds;
+    const double dev0 = DeviceBusySeconds(stack.get());
     auto fill_worker = [&](int t) {
       Random rnd(301 + t);
       WriteOptions wo;
@@ -184,7 +183,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
     db->WaitForIdle();
     out.fill.drain_seconds = NowSeconds() - drain0;
     out.fill.wall_seconds = NowSeconds() - wall0;
-    out.fill.device_seconds = stack->device_stats().busy_seconds - dev0;
+    out.fill.device_seconds = DeviceBusySeconds(stack.get()) - dev0;
     std::vector<uint64_t> lat;
     for (int t = 0; t < nthreads; t++) {
       out.fill.ops += ops[t];
@@ -200,7 +199,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
     std::vector<uint64_t> ops(nthreads, 0);
     const uint64_t hot_span = std::max<uint64_t>(1, entries / 100);
     const double wall0 = NowSeconds();
-    const double dev0 = stack->device_stats().busy_seconds;
+    const double dev0 = DeviceBusySeconds(stack.get());
     auto read_worker = [&](int t) {
       Random rnd(401 + t);
       // Zipfian-read configs draw keys from YCSB's scrambled zipfian over
@@ -239,7 +238,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
       for (auto& th : threads) th.join();
     }
     out.read.wall_seconds = NowSeconds() - wall0;
-    out.read.device_seconds = stack->device_stats().busy_seconds - dev0;
+    out.read.device_seconds = DeviceBusySeconds(stack.get()) - dev0;
     std::vector<uint64_t> lat;
     for (int t = 0; t < nthreads; t++) {
       out.read.ops += ops[t];
@@ -262,7 +261,7 @@ ConfigResult RunConfig(const BenchParams& params, const std::string& label,
   out.max_parallel_compactions = static_cast<uint64_t>(
       reg.gauge_family_max("sealdb_engine_max_parallel_compactions"));
   // WA must be aggregated from byte totals, not averaged over per-shard
-  // gauges; DbStats sums the per-shard fields before taking the ratio.
+  // gauges; Stack::wa sums the per-shard byte families before the ratio.
   out.wa = stack->wa();
   out.awa = reg.gauge_value("sealdb_device_aux_write_amplification");
   out.guard_violations =
@@ -319,7 +318,7 @@ PhaseResult RunMixedPhase(Stack* stack, const BenchParams& params,
   std::vector<std::vector<uint64_t>> lats(nthreads);
   std::vector<uint64_t> ops(nthreads, 0);
   const double wall0 = NowSeconds();
-  const double dev0 = stack->device_stats().busy_seconds;
+  const double dev0 = DeviceBusySeconds(stack);
   auto worker = [&](int t) {
     Random rnd(501 + t);
     ycsb::ScrambledZipfianGenerator zipf(entries,
@@ -350,7 +349,7 @@ PhaseResult RunMixedPhase(Stack* stack, const BenchParams& params,
   db->WaitForIdle();
   out.drain_seconds = NowSeconds() - drain0;
   out.wall_seconds = NowSeconds() - wall0;
-  out.device_seconds = stack->device_stats().busy_seconds - dev0;
+  out.device_seconds = DeviceBusySeconds(stack) - dev0;
   std::vector<uint64_t> lat;
   for (int t = 0; t < nthreads; t++) {
     out.ops += ops[t];
@@ -368,7 +367,6 @@ ScrubImpactResult RunScrubImpact(const BenchParams& params) {
     config.inline_compactions = false;
     config.max_background_compactions = 4;
     config.compaction_readahead = true;
-    config.enable_block_cache = true;
     config.num_shards = 4;
     config.scrub_enabled = scrub;
     std::unique_ptr<Stack> stack;
@@ -489,18 +487,22 @@ int Run(int argc, char** argv) {
 
   const bool uniform_reads = flags.GetBool("uniform", false);
 
-  // Baseline: the seed's single-threaded configuration. Treatments: the
-  // executor bundle with four workers, and the sharded engine (4 shards,
-  // 4 driver threads) on the same simulated drive.
+  // Baseline: the seed's single-threaded configuration, which had no read
+  // cache. Treatments: the executor bundle with four workers, and the
+  // sharded engine (4 shards, 4 driver threads) on the same simulated
+  // drive, both with the default (scaled) buffer pool.
+  const uint64_t default_pool =
+      params.MakeConfig(SystemKind::kSEALDB).buffer_pool_bytes;
   const ConfigResult serial =
       RunConfig(params, "single-threaded-seed", 1, false, uniform_reads,
-                /*num_shards=*/1, /*client_threads=*/1);
+                /*num_shards=*/1, /*client_threads=*/1,
+                /*buffer_pool_bytes=*/0);
   const ConfigResult parallel =
       RunConfig(params, "executor-4w", 4, true, uniform_reads,
-                /*num_shards=*/1, /*client_threads=*/1);
+                /*num_shards=*/1, /*client_threads=*/1, default_pool);
   const ConfigResult sharded =
       RunConfig(params, "sharded-4", 4, true, uniform_reads,
-                /*num_shards=*/4, /*client_threads=*/4);
+                /*num_shards=*/4, /*client_threads=*/4, default_pool);
 
   // Read-heavy cache-pressure config: the buffer pool is sized to a
   // quarter of the loaded volume (working set ≈ 4× pool) and the read

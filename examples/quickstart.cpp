@@ -64,11 +64,14 @@ int main() {
   // 5. Inspect the LSM and the drive. On dynamic bands the auxiliary write
   // amplification is exactly 1.0: every byte the store wrote was written
   // to the media exactly once.
-  const auto db_stats = db->db_stats();
+  const auto& metrics = *db->stack()->metrics_registry();
   std::printf("\n--- stats ---\n");
-  std::printf("flushes: %llu, compactions: %llu\n",
-              (unsigned long long)db_stats.num_flushes,
-              (unsigned long long)db_stats.num_compactions);
+  std::printf(
+      "flushes: %llu, compactions: %llu\n",
+      (unsigned long long)metrics.counter_family_sum(
+          "sealdb_engine_flushes_total"),
+      (unsigned long long)metrics.counter_family_sum(
+          "sealdb_engine_compactions_total"));
   std::printf("LSM write amplification (WA):  %.2f\n", db->wa());
   std::printf("device amplification (AWA):    %.2f  <- dynamic bands\n",
               db->awa());

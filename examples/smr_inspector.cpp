@@ -30,7 +30,14 @@ smr::Geometry DemoGeometry() {
 std::string Block(char c) { return std::string(1 << 20, c); }
 
 void Report(const char* title, const smr::Drive& drive) {
-  std::printf("  %-34s %s\n", title, drive.stats().ToString().c_str());
+  const smr::DeviceMetrics& m = drive.metrics();
+  std::printf("  %-34s logical %.1f MB, physical %.1f MB written; "
+              "%llu RMW, %llu seeks; busy %.3f s; AWA %.2f\n",
+              title, m.logical_write->Value() / 1048576.0,
+              m.physical_write->Value() / 1048576.0,
+              (unsigned long long)m.rmw_ops->Value(),
+              (unsigned long long)m.seeks->Value(), m.busy->Seconds(),
+              m.awa());
 }
 
 }  // namespace
@@ -61,7 +68,7 @@ int main() {
     drive->Zone(0);  // force the staged write-back so stats show it
     Report("after one 1 MB in-place write:", *drive);
     std::printf("  -> AWA %.1f: the drive rewrote the whole band prefix to "
-                "protect shingled data\n", drive->stats().awa());
+                "protect shingled data\n", drive->metrics().awa());
   }
 
   std::printf("\n=== 3. raw shingled disk: the host must leave guards ===\n");
@@ -117,7 +124,7 @@ int main() {
       }
     }
     std::printf("  wrote all allocated extents: no shingle violations, "
-                "AWA %.2f\n", disk->stats().awa());
+                "AWA %.2f\n", disk->metrics().awa());
   }
   return 0;
 }

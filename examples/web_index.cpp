@@ -101,7 +101,10 @@ int main(int argc, char** argv) {
   // SEALDB shines. Confirm the device never amplified a write.
   std::printf("\nWA %.2f, AWA %.2f (always 1.0 on dynamic bands), MWA %.2f\n",
               db->wa(), db->awa(), db->mwa());
-  const auto dev = db->device_stats();
-  std::printf("device: %s\n", dev.ToString().c_str());
+  const auto& dev = db->stack()->drive()->metrics();
+  std::printf("device: %.1f MB written, %llu seeks, %llu RMW, busy %.3f s\n",
+              dev.logical_write->Value() / 1048576.0,
+              (unsigned long long)dev.seeks->Value(),
+              (unsigned long long)dev.rmw_ops->Value(), dev.busy->Seconds());
   return 0;
 }

@@ -7,7 +7,8 @@
 # shake out schedule-dependent races. The ASan pass covers the buffer
 # handling in the wire protocol, the chaos proxy's frame surgery, and
 # the slow-client eviction path, where a lifetime bug would otherwise
-# hide behind the allocator.
+# hide behind the allocator. The ASan pass is also the Debug build: it is
+# the one configuration without NDEBUG, so the engine's asserts run there.
 #
 # Usage: scripts/check.sh [--fast] [--filter <regex>] [--bench]
 #                         [--crash-sweep]
@@ -142,8 +143,9 @@ SEALDB_STRESS_SHARDS=4 \
   ctest --test-dir build-tsan "${CTEST_ARGS[@]}" -L stress --repeat until-fail:2
 
 echo
-echo "== address sanitizer configuration =="
-cmake -B build-asan -S . -DSEALDB_SANITIZE=address >/dev/null
+echo "== address sanitizer configuration (Debug, asserts on) =="
+cmake -B build-asan -S . -DSEALDB_SANITIZE=address \
+  -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-asan -j "$JOBS"
 if [ "$FAST" = 1 ]; then
   ctest --test-dir build-asan "${CTEST_ARGS[@]}" -L stress

@@ -67,12 +67,9 @@ struct StackConfig {
   int max_background_compactions = 0;
 
   // Shared page-based buffer pool for the foreground read path (src/buf/):
-  // ONE pool serves every shard column. Disable for cache-sensitivity
-  // benches. buffer_pool_bytes = 0 falls back to the deprecated
-  // block_cache_bytes knob so older configs keep their sizing.
-  bool enable_block_cache = true;
-  uint64_t buffer_pool_bytes = 0;
-  uint64_t block_cache_bytes = 8ull << 20;
+  // ONE pool serves every shard column. 0 disables it (cache-sensitivity
+  // benches).
+  uint64_t buffer_pool_bytes = 8ull << 20;
 
   // Double-buffered chunked readahead for compaction input scans; off
   // reproduces the seed's per-block compaction read pattern.
@@ -127,8 +124,8 @@ class Stack {
   ShardedDb* sharded_db() {
     return num_shards() > 1 ? static_cast<ShardedDb*>(db_.get()) : nullptr;
   }
-  // Shard 0's store with a sharded stack (device_stats and test plumbing
-  // still work: the drive — and therefore its stats — is shared).
+  // Shard 0's store with a sharded stack (test plumbing still works: the
+  // drive is shared).
   fs::FileStore* store() { return stores_.empty() ? nullptr
                                                   : stores_[0].get(); }
   int num_shards() const { return static_cast<int>(stores_.size()); }
@@ -141,7 +138,7 @@ class Stack {
   smr::FaultInjectionDrive* fault_drive() { return fault_; }
   core::DynamicBandAllocator* dynamic_allocator() { return dyn_alloc_; }
   // The one buffer pool shared by every shard column; null when the stack
-  // was built with enable_block_cache = false. Survives Reopen() so a
+  // was built with buffer_pool_bytes = 0. Survives Reopen() so a
   // restart keeps its hot pages (stale frames are purged per owner).
   buf::BufferPool* buffer_pool() { return buffer_pool_.get(); }
   // Non-null when the stack was built with config.scrub_enabled; already
@@ -164,17 +161,11 @@ class Stack {
     return options_.metrics_registry;
   }
 
-  // Routed through the FileStore so the snapshot is taken under its mutex
-  // (background compaction workers touch the drive concurrently).
-  smr::DeviceStats device_stats() const {
-    return stores_[0]->device_stats();
-  }
-  DbStats db_stats() { return db_->GetDbStats(); }
-
-  // Paper Table I metrics.
-  double wa() { return db_->GetDbStats().wa(); }
-  double awa() const { return stores_[0]->device_stats().awa(); }
-  double mwa() { return wa() * awa(); }
+  // Paper Table I metrics: WA from the registry's engine byte families
+  // (summed over shards), AWA from the drive's counters, MWA = WA * AWA.
+  double wa() const;
+  double awa() const { return drive_->metrics().awa(); }
+  double mwa() const { return wa() * awa(); }
 
   // Tear down and reopen the DB over the same drive contents, simulating a
   // crash + restart (unsynced data is lost). `num_shards` != 0 reopens with

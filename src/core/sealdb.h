@@ -61,11 +61,11 @@ class SealDB {
   DB* raw() { return stack_->db(); }
 
   // ---- introspection ----
-  DbStats db_stats() { return stack_->db_stats(); }
-  smr::DeviceStats device_stats() const { return stack_->device_stats(); }
-  double wa() { return stack_->wa(); }
+  // Paper Table I figures; every other counter is in
+  // stack()->metrics_registry().
+  double wa() const { return stack_->wa(); }
   double awa() const { return stack_->awa(); }
-  double mwa() { return stack_->mwa(); }
+  double mwa() const { return stack_->mwa(); }
   BandInspector band_inspector() const {
     return BandInspector(stack_->dynamic_allocator());
   }

@@ -1438,9 +1438,4 @@ Status FileStore::GetFileExtents(const std::string& name,
   return Status::OK();
 }
 
-smr::DeviceStats FileStore::device_stats() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return drive_->stats();
-}
-
 }  // namespace sealdb::fs

@@ -198,7 +198,6 @@ class FileStore {
   Status GetFileExtents(const std::string& name, std::vector<Extent>* out);
   smr::Drive* drive() { return drive_; }
   ExtentAllocator* allocator() { return allocator_; }
-  smr::DeviceStats device_stats() const;
 
   // Count of live files; metadata journal writes performed.
   uint64_t journal_records_written() const { return journal_records_; }

@@ -24,6 +24,7 @@
 #include <cassert>
 
 #include "util/coding.h"
+#include "util/comparator.h"
 #include "util/options.h"
 
 namespace sealdb {

@@ -68,7 +68,6 @@ class DBImpl : public DB {
 
   void QuarantineFile(uint64_t file_number) override;
 
-  DbStats GetDbStats() override;
   std::vector<LiveFileMeta> GetLiveFilesMetadata() override;
   void SetRecordCompactionEvents(bool enable) override;
   std::vector<CompactionEvent> TakeCompactionEvents() override;
@@ -226,7 +225,7 @@ class DBImpl : public DB {
   // SEALDB set bookkeeping (null unless compaction_unit == kSet).
   std::unique_ptr<core::SetManager> set_manager_;
 
-  // Engine counters (sealdb_engine_* metrics; GetDbStats renders them).
+  // Engine counters (sealdb_engine_* metrics; sealdb.stats renders them).
   EngineMetrics em_;
   // Event recording, protected by mutex_.
   bool record_events_ = false;

@@ -91,12 +91,8 @@ EngineMetrics::EngineMetrics(std::shared_ptr<obs::MetricsRegistry> registry,
   obs::Counter* u = user_bytes;
   obs::Counter* f = flush_bytes;
   obs::Counter* c = compaction_write_bytes;
-  wa_hook_id_ = r.AddCollectHook([wa, u, f, c] {
-    const uint64_t user = u->Value();
-    wa->Set(user == 0 ? 1.0
-                      : static_cast<double>(f->Value() + c->Value()) /
-                            static_cast<double>(user));
-  });
+  wa_hook_id_ = r.AddCollectHook(
+      [wa, u, f, c] { wa->Set(WriteAmp(u->Value(), f->Value(), c->Value())); });
 }
 
 EngineMetrics::~EngineMetrics() {
@@ -107,28 +103,6 @@ uint64_t EngineMetrics::total_compactions() const {
   uint64_t n = 0;
   for (const auto* c : compactions_) n += c->Value();
   return n;
-}
-
-DbStats EngineMetrics::ToDbStats() const {
-  DbStats s;
-  s.user_bytes_written = user_bytes->Value();
-  s.wal_bytes_written = wal_bytes->Value();
-  s.flush_bytes_written = flush_bytes->Value();
-  s.compaction_bytes_read = compaction_read_bytes->Value();
-  s.compaction_bytes_written = compaction_write_bytes->Value();
-  s.num_compactions = total_compactions();
-  s.num_flushes = flushes->Value();
-  s.compaction_device_seconds = compaction_device->Seconds();
-  s.compaction_pick_micros = pick_micros->Micros();
-  s.compaction_read_micros = read_micros->Micros();
-  s.compaction_merge_micros = merge_micros->Micros();
-  s.compaction_write_micros = write_micros->Micros();
-  s.compaction_install_micros = install_micros->Micros();
-  s.max_parallel_compactions = static_cast<uint64_t>(max_parallel->Value());
-  s.write_stall_slowdowns = stall_slowdowns->Value();
-  s.write_stall_stops = stall_stops->Value();
-  s.write_stall_micros = stall_micros->Micros();
-  return s;
 }
 
 }  // namespace sealdb

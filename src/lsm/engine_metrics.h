@@ -1,20 +1,28 @@
 // EngineMetrics: the LSM engine's accounting, as registry metrics.
 //
-// DBImpl used to keep a `DbStats stats_` struct under its mutex; the
-// counters now live in a MetricsRegistry (Options::metrics_registry, or a
-// DB-private one) as the sealdb_engine_* family. DbStats remains the
-// programmatic snapshot shape: GetDbStats() and the "sealdb.stats"
-// property are both renderings of these metrics.
+// The counters live in a MetricsRegistry (Options::metrics_registry, or a
+// DB-private one) as the sealdb_engine_* family. The "sealdb.stats"
+// property renders these handles; programmatic readers ask the registry
+// (MetricsRegistry::counter_family_sum and friends sum across shards).
 #pragma once
 
 #include <algorithm>
 #include <memory>
 #include <string>
 
-#include "lsm/db.h"
 #include "obs/metrics.h"
 
 namespace sealdb {
+
+// Paper Table I: WA = data written by the LSM-tree (flush + compaction
+// output) / user data; 1.0 before the first user byte.
+inline double WriteAmp(uint64_t user_bytes, uint64_t flush_bytes,
+                       uint64_t compaction_write_bytes) {
+  return user_bytes == 0
+             ? 1.0
+             : static_cast<double>(flush_bytes + compaction_write_bytes) /
+                   static_cast<double>(user_bytes);
+}
 
 class EngineMetrics {
  public:
@@ -58,10 +66,8 @@ class EngineMetrics {
     return level_micros_[Slot(level)];
   }
 
-  // Sum across levels (the DbStats num_compactions figure).
+  // Sum across levels (the "compactions:" figure of sealdb.stats).
   uint64_t total_compactions() const;
-
-  DbStats ToDbStats() const;
 
   const std::shared_ptr<obs::MetricsRegistry>& registry() const {
     return registry_;

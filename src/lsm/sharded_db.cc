@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "core/shard_layout.h"
+#include "lsm/engine_metrics.h"
 #include "lsm/merger.h"
 #include "lsm/write_batch.h"
 
@@ -46,14 +47,12 @@ ShardedDb::ShardedDb(std::vector<std::unique_ptr<DB>> shards,
   health_.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); i++) {
     auto h = std::make_unique<ShardHealth>();
-    if (registry_ != nullptr) {
-      h->gauge = registry_->RegisterGauge(
-          "sealdb_shard_degraded",
-          "1 when the shard has latched a persistent fault and returns "
-          "kShardDegraded; other shards keep serving",
-          {{"shard", std::to_string(i)}});
-      h->gauge->Set(0);
-    }
+    h->gauge = registry_->RegisterGauge(
+        "sealdb_shard_degraded",
+        "1 when the shard has latched a persistent fault and returns "
+        "kShardDegraded; other shards keep serving",
+        {{"shard", std::to_string(i)}});
+    h->gauge->Set(0);
     health_.push_back(std::move(h));
   }
 }
@@ -73,7 +72,7 @@ void ShardedDb::DegradeShard(int shard, const std::string& reason) {
   bool was = false;
   if (h->degraded.compare_exchange_strong(was, true,
                                           std::memory_order_acq_rel)) {
-    if (h->gauge != nullptr) h->gauge->Set(1);
+    h->gauge->Set(1);
   }
 }
 
@@ -235,9 +234,16 @@ bool ShardedDb::GetProperty(const Slice& property, std::string* value) {
   }
 
   if (in == "stats") {
-    // Aggregate block first (the totals the CLI and benches read), then the
+    // Aggregate block first (the totals the CLI and benches read), summed
+    // over the shards' {shard=i} series of the shared registry, then the
     // per-shard engines' own renderings.
-    const DbStats st = GetDbStats();
+    const obs::MetricsRegistry& r = *registry_;
+    const uint64_t user =
+        r.counter_family_sum("sealdb_engine_user_bytes_total");
+    const uint64_t flush =
+        r.counter_family_sum("sealdb_engine_flush_bytes_total");
+    const uint64_t compact_write = r.counter_family_sum(
+        "sealdb_engine_compaction_bytes_total", {{"dir", "write"}});
     char buf[800];
     std::snprintf(
         buf, sizeof(buf),
@@ -248,14 +254,21 @@ bool ShardedDb::GetProperty(const Slice& property, std::string* value) {
         "write stalls: %llu slowdowns, %llu stops, %llu micros parked "
         "(level now %d)\n",
         num_shards(), DegradedShardCount(),
-        static_cast<unsigned long long>(st.num_flushes),
-        static_cast<unsigned long long>(st.num_compactions),
-        st.user_bytes_written / 1048576.0, st.flush_bytes_written / 1048576.0,
-        st.compaction_bytes_written / 1048576.0, st.wa(),
-        st.compaction_device_seconds,
-        static_cast<unsigned long long>(st.write_stall_slowdowns),
-        static_cast<unsigned long long>(st.write_stall_stops),
-        static_cast<unsigned long long>(st.write_stall_micros),
+        static_cast<unsigned long long>(
+            r.counter_family_sum("sealdb_engine_flushes_total")),
+        static_cast<unsigned long long>(
+            r.counter_family_sum("sealdb_engine_compactions_total")),
+        user / 1048576.0, flush / 1048576.0, compact_write / 1048576.0,
+        WriteAmp(user, flush, compact_write),
+        r.time_family_sum("sealdb_engine_compaction_device_seconds_total"),
+        static_cast<unsigned long long>(r.counter_family_sum(
+            "sealdb_engine_write_stall_events_total", {{"kind", "slowdown"}})),
+        static_cast<unsigned long long>(r.counter_family_sum(
+            "sealdb_engine_write_stall_events_total", {{"kind", "stop"}})),
+        // A TimeCounter family sums in nanoseconds.
+        static_cast<unsigned long long>(
+            r.counter_family_sum("sealdb_engine_write_stall_seconds_total") /
+            1000),
         WriteStallLevel());
     *value = buf;
     for (int i = 0; i < num_shards(); i++) {
@@ -300,34 +313,6 @@ int ShardedDb::WriteStallLevel() {
 
 int ShardedDb::WriteStallLevelOfShard(int shard) {
   return shards_[shard]->WriteStallLevel();
-}
-
-DbStats ShardedDb::GetDbStats() {
-  DbStats total;
-  for (auto& shard : shards_) {
-    const DbStats st = shard->GetDbStats();
-    total.user_bytes_written += st.user_bytes_written;
-    total.wal_bytes_written += st.wal_bytes_written;
-    total.flush_bytes_written += st.flush_bytes_written;
-    total.compaction_bytes_read += st.compaction_bytes_read;
-    total.compaction_bytes_written += st.compaction_bytes_written;
-    total.num_compactions += st.num_compactions;
-    total.num_flushes += st.num_flushes;
-    total.compaction_device_seconds += st.compaction_device_seconds;
-    total.compaction_pick_micros += st.compaction_pick_micros;
-    total.compaction_read_micros += st.compaction_read_micros;
-    total.compaction_merge_micros += st.compaction_merge_micros;
-    total.compaction_write_micros += st.compaction_write_micros;
-    total.compaction_install_micros += st.compaction_install_micros;
-    // The shards' high-water marks peak at different moments; the max is
-    // the only honest engine-level figure without a shared clock.
-    total.max_parallel_compactions =
-        std::max(total.max_parallel_compactions, st.max_parallel_compactions);
-    total.write_stall_slowdowns += st.write_stall_slowdowns;
-    total.write_stall_stops += st.write_stall_stops;
-    total.write_stall_micros += st.write_stall_micros;
-  }
-  return total;
 }
 
 std::vector<LiveFileMeta> ShardedDb::GetLiveFilesMetadata() {

@@ -19,8 +19,9 @@
 //    order; reads through it are per-shard-consistent.
 //  - NewIterator: a merging iterator over the per-shard iterators (shards
 //    partition by hash, not range, so every shard contributes everywhere).
-//  - GetProperty("sealdb.stats") and GetDbStats aggregate across shards so
-//    the CLI, the stats property, and the metrics exposition agree.
+//  - GetProperty("sealdb.stats") aggregates across shards from the shared
+//    registry, so the CLI, the stats property, and the metrics exposition
+//    agree.
 //
 // Failure domains (DESIGN.md §15): a shard — not the DB — is the unit of
 // failure. When one engine column latches a background error (its private
@@ -49,11 +50,13 @@ class ShardedDb final : public DB {
  public:
   // Takes ownership of the per-shard engines (index == shard id).
   // `comparator` orders the merged iterator view; pass the same comparator
-  // the shards were opened with (Options::comparator). A non-null
-  // `registry` receives the per-shard sealdb_shard_degraded gauges.
+  // the shards were opened with (Options::comparator). `registry` must be
+  // the one every shard publishes into (Options::metrics_registry): it
+  // receives the per-shard sealdb_shard_degraded gauges, and the aggregate
+  // block of "sealdb.stats" sums the shards' engine families from it.
   ShardedDb(std::vector<std::unique_ptr<DB>> shards,
             const Comparator* comparator,
-            std::shared_ptr<obs::MetricsRegistry> registry = nullptr);
+            std::shared_ptr<obs::MetricsRegistry> registry);
   ~ShardedDb() override;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -92,7 +95,6 @@ class ShardedDb final : public DB {
   // Stall level of one shard; the server's admission control checks the
   // target shard instead of rejecting for a stall elsewhere.
   int WriteStallLevelOfShard(int shard);
-  DbStats GetDbStats() override;
   std::vector<LiveFileMeta> GetLiveFilesMetadata() override;
   void SetRecordCompactionEvents(bool enable) override;
   std::vector<CompactionEvent> TakeCompactionEvents() override;

@@ -922,11 +922,11 @@ struct SealServer::Impl {
            trace_id % opts_.trace_sample_every == 0;
   }
 
-  // Simulated device busy time, snapshotted only around sampled requests:
-  // device_stats() takes the FileStore mutex, which is too heavy for the
-  // per-request hot path.
+  // Simulated device busy time, read around sampled requests (an atomic
+  // counter; no lock).
   double DeviceBusySeconds() const {
-    return stack_ != nullptr ? stack_->device_stats().busy_seconds : 0.0;
+    return stack_ != nullptr ? stack_->drive()->metrics().busy->Seconds()
+                             : 0.0;
   }
 
   void RecordTrace(const TraceSpan& span) {
@@ -1256,7 +1256,9 @@ struct SealServer::Impl {
       text.append(prop);
     }
     if (stack_ != nullptr) {
-      const smr::DeviceStats d = stack_->device_stats();
+      const smr::DeviceMetrics& d = stack_->drive()->metrics();
+      const double busy = d.busy->Seconds();
+      const double position = d.position->Seconds();
       char buf[512];
       std::snprintf(
           buf, sizeof(buf),
@@ -1265,18 +1267,19 @@ struct SealServer::Impl {
           "%llu\n"
           "logical MB written/read: %.1f / %.1f, physical MB written/read: "
           "%.1f / %.1f, AWA: %.3f\n",
-          d.busy_seconds, d.position_seconds,
-          d.busy_seconds - d.position_seconds,
-          static_cast<unsigned long long>(d.seeks),
-          d.logical_bytes_written / 1048576.0,
-          d.logical_bytes_read / 1048576.0,
-          d.physical_bytes_written / 1048576.0,
-          d.physical_bytes_read / 1048576.0, d.awa());
+          busy, position, busy - position,
+          static_cast<unsigned long long>(d.seeks->Value()),
+          d.logical_write->Value() / 1048576.0,
+          d.logical_read->Value() / 1048576.0,
+          d.physical_write->Value() / 1048576.0,
+          d.physical_read->Value() / 1048576.0, d.awa());
       text.append(buf);
     }
-    // The server section is a rendering of the same registry counters the
-    // METRICS opcode exposes — there is no second set of books.
-    const ServerStats st = SnapshotStats();
+    // The server section renders the same registry counters the METRICS
+    // opcode exposes — there is no second set of books.
+    const uint64_t rej_queue = c_rej_queue_full_->Value();
+    const uint64_t rej_inflight = c_rej_inflight_->Value();
+    const uint64_t rej_stall = c_rej_stall_->Value();
     char buf[768];
     std::snprintf(
         buf, sizeof(buf),
@@ -1288,50 +1291,28 @@ struct SealServer::Impl {
         "protocol errors: %llu\n"
         "busy rejections: %llu (queue %llu, inflight %llu, stall %llu)\n"
         "slow-client evictions: %llu, dedup replays: %llu\n",
-        static_cast<unsigned long long>(st.connections_active),
-        static_cast<unsigned long long>(st.connections_accepted),
-        static_cast<unsigned long long>(st.connections_rejected),
-        static_cast<unsigned long long>(st.requests),
-        static_cast<unsigned long long>(st.gets),
-        static_cast<unsigned long long>(st.writes),
-        static_cast<unsigned long long>(st.scans),
-        static_cast<unsigned long long>(st.write_groups),
-        static_cast<unsigned long long>(st.batched_writes),
-        static_cast<unsigned long long>(st.bytes_in),
-        static_cast<unsigned long long>(st.bytes_out),
+        static_cast<unsigned long long>(g_conns_active_->Value()),
+        static_cast<unsigned long long>(c_conns_accepted_->Value()),
+        static_cast<unsigned long long>(c_rej_conns_->Value()),
+        static_cast<unsigned long long>(c_requests_->Value()),
+        static_cast<unsigned long long>(c_gets_->Value()),
+        static_cast<unsigned long long>(c_writes_->Value()),
+        static_cast<unsigned long long>(c_scans_->Value()),
+        static_cast<unsigned long long>(c_write_groups_->Value()),
+        static_cast<unsigned long long>(c_batched_writes_->Value()),
+        static_cast<unsigned long long>(c_bytes_in_->Value()),
+        static_cast<unsigned long long>(c_bytes_out_->Value()),
         static_cast<unsigned long long>(
             buffer_bytes_.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(st.protocol_errors),
-        static_cast<unsigned long long>(st.busy_rejections()),
-        static_cast<unsigned long long>(st.rejected_queue_full),
-        static_cast<unsigned long long>(st.rejected_inflight_cap),
-        static_cast<unsigned long long>(st.rejected_stall),
-        static_cast<unsigned long long>(st.slow_client_evictions),
-        static_cast<unsigned long long>(st.dedup_replays));
+        static_cast<unsigned long long>(c_protocol_errors_->Value()),
+        static_cast<unsigned long long>(rej_queue + rej_inflight + rej_stall),
+        static_cast<unsigned long long>(rej_queue),
+        static_cast<unsigned long long>(rej_inflight),
+        static_cast<unsigned long long>(rej_stall),
+        static_cast<unsigned long long>(c_evictions_->Value()),
+        static_cast<unsigned long long>(c_dedup_replays_->Value()));
     text.append(buf);
     return text;
-  }
-
-  ServerStats SnapshotStats() const {
-    ServerStats out;
-    out.connections_accepted = c_conns_accepted_->Value();
-    out.connections_active = static_cast<uint64_t>(g_conns_active_->Value());
-    out.requests = c_requests_->Value();
-    out.gets = c_gets_->Value();
-    out.writes = c_writes_->Value();
-    out.scans = c_scans_->Value();
-    out.write_groups = c_write_groups_->Value();
-    out.batched_writes = c_batched_writes_->Value();
-    out.protocol_errors = c_protocol_errors_->Value();
-    out.bytes_in = c_bytes_in_->Value();
-    out.bytes_out = c_bytes_out_->Value();
-    out.connections_rejected = c_rej_conns_->Value();
-    out.rejected_queue_full = c_rej_queue_full_->Value();
-    out.rejected_inflight_cap = c_rej_inflight_->Value();
-    out.rejected_stall = c_rej_stall_->Value();
-    out.slow_client_evictions = c_evictions_->Value();
-    out.dedup_replays = c_dedup_replays_->Value();
-    return out;
   }
 
   // ----------------------------------------------------------------- stop
@@ -1392,8 +1373,6 @@ Status SealServer::Start() {
 }
 
 void SealServer::Stop() { impl_->StopImpl(); }
-
-ServerStats SealServer::stats() const { return impl_->SnapshotStats(); }
 
 uint64_t SealServer::connection_buffer_bytes() const {
   return impl_->buffer_bytes_.load(std::memory_order_relaxed);

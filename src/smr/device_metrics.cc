@@ -2,6 +2,16 @@
 
 namespace sealdb::smr {
 
+namespace {
+
+double Awa(const obs::Counter& logical, const obs::Counter& physical) {
+  const uint64_t l = logical.Value();
+  return l == 0 ? 1.0 : static_cast<double>(physical.Value()) /
+                            static_cast<double>(l);
+}
+
+}  // namespace
+
 DeviceMetrics::DeviceMetrics(std::shared_ptr<obs::MetricsRegistry> registry)
     : registry_(registry != nullptr
                     ? std::move(registry)
@@ -53,36 +63,16 @@ DeviceMetrics::DeviceMetrics(std::shared_ptr<obs::MetricsRegistry> registry)
 
   // AWA is derived; refresh it whenever the registry is snapshotted. The
   // hook captures the counters (registry-owned), never the drive.
-  obs::Gauge* awa = r.RegisterGauge(
+  obs::Gauge* gauge = r.RegisterGauge(
       "sealdb_device_aux_write_amplification",
       "Physical / logical write bytes (the paper's AWA)");
   obs::Counter* lw = logical_write;
   obs::Counter* pw = physical_write;
-  r.AddCollectHook([awa, lw, pw] {
-    const uint64_t logical = lw->Value();
-    awa->Set(logical == 0 ? 1.0
-                          : static_cast<double>(pw->Value()) /
-                                static_cast<double>(logical));
-  });
+  r.AddCollectHook([gauge, lw, pw] { gauge->Set(Awa(*lw, *pw)); });
 }
 
-DeviceStats DeviceMetrics::ToStats() const {
-  DeviceStats s;
-  s.logical_bytes_written = logical_write->Value();
-  s.logical_bytes_read = logical_read->Value();
-  s.physical_bytes_written = physical_write->Value();
-  s.physical_bytes_read = physical_read->Value();
-  s.write_ops = write_ops->Value();
-  s.read_ops = read_ops->Value();
-  s.rmw_ops = rmw_ops->Value();
-  s.seeks = seeks->Value();
-  s.busy_seconds = busy->Seconds();
-  s.position_seconds = position->Seconds();
-  s.read_errors = read_errors->Value();
-  s.write_errors = write_errors->Value();
-  s.torn_writes = torn_writes->Value();
-  s.crashes = crashes->Value();
-  return s;
+double DeviceMetrics::awa() const {
+  return Awa(*logical_write, *physical_write);
 }
 
 }  // namespace sealdb::smr

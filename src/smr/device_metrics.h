@@ -1,22 +1,21 @@
 // DeviceMetrics: the drive models' traffic accounting, as registry metrics.
 //
-// Drives used to each maintain a private `DeviceStats stats_` struct; those
-// counters now live in a MetricsRegistry (shared with the engine and server
+// The counters live in a MetricsRegistry (shared with the engine and server
 // when the stack wires one in, private otherwise) under the sealdb_device_*
-// and sealdb_smr_* families. DeviceStats survives purely as a snapshot
-// struct: Drive::stats() renders one from these metrics, so `sealdb.stats`,
-// the METRICS exposition, and bench deltas all read the same counters.
+// and sealdb_smr_* families. Drive::metrics() hands out these typed handles,
+// so `sealdb.stats`, the METRICS exposition, and bench deltas all read the
+// same counters.
 //
 // One registry carries at most one device's metrics (a stack owns exactly
 // one drive); idempotent registration means a FaultInjectionDrive wrapper
-// can share the registry with its inner drive — the wrapper registers only
-// the fault counters, the inner drive the traffic counters.
+// built on its inner drive's registry gets the very same counters — the
+// wrapper increments the fault counters, the inner drive the traffic
+// counters.
 #pragma once
 
 #include <memory>
 
 #include "obs/metrics.h"
-#include "smr/device_stats.h"
 
 namespace sealdb::smr {
 
@@ -51,8 +50,9 @@ class DeviceMetrics {
   // placement bug.
   obs::Counter* guard_violations;
 
-  // Snapshot in the legacy struct shape.
-  DeviceStats ToStats() const;
+  // Physical / logical write bytes: the paper's auxiliary write
+  // amplification (1.0 before the first write).
+  double awa() const;
 
   const std::shared_ptr<obs::MetricsRegistry>& registry() const {
     return registry_;

@@ -10,7 +10,7 @@
 //                    on this model
 //
 // All offsets/lengths are bytes and must be block-aligned. Time is simulated
-// (see LatencyModel); stats() exposes logical vs physical traffic.
+// (see LatencyModel); metrics() exposes logical vs physical traffic.
 #pragma once
 
 #include <cstdint>
@@ -18,15 +18,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "smr/device_stats.h"
+#include "smr/device_metrics.h"
 #include "smr/geometry.h"
 #include "smr/latency_model.h"
 #include "util/slice.h"
 #include "util/status.h"
-
-namespace sealdb::obs {
-class MetricsRegistry;
-}
 
 namespace sealdb::smr {
 
@@ -43,10 +39,11 @@ class Drive {
   virtual const Geometry& geometry() const = 0;
   uint64_t capacity() const { return geometry().capacity_bytes; }
 
-  // Snapshot of the drive's traffic counters. The counters themselves live
-  // in a MetricsRegistry (the one passed to the factory, or a private one)
-  // as the sealdb_device_* family; this struct is a rendering of them.
-  virtual DeviceStats stats() const = 0;
+  // The drive's traffic counters, registered in a MetricsRegistry (the one
+  // passed to the factory, or a private one) as the sealdb_device_* family.
+  // Read them directly (`metrics().busy->Seconds()`) or through the
+  // registry; there is no snapshot copy.
+  virtual const DeviceMetrics& metrics() const = 0;
 
   // True iff every block of [offset, offset+n) holds valid data.
   virtual bool IsValid(uint64_t offset, uint64_t n) const = 0;

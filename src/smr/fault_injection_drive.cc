@@ -6,10 +6,8 @@
 
 namespace sealdb::smr {
 
-FaultInjectionDrive::FaultInjectionDrive(
-    std::unique_ptr<Drive> target,
-    std::shared_ptr<obs::MetricsRegistry> registry)
-    : target_(std::move(target)), met_(std::move(registry)) {}
+FaultInjectionDrive::FaultInjectionDrive(std::unique_ptr<Drive> target)
+    : target_(std::move(target)), met_(target_->metrics().registry()) {}
 
 void FaultInjectionDrive::InjectReadError(uint64_t offset, uint64_t n,
                                           int remaining_failures) {
@@ -181,15 +179,6 @@ Status FaultInjectionDrive::Trim(uint64_t offset, uint64_t n) {
     return Status::IOError("fault injection: drive powered off");
   }
   return target_->Trim(offset, n);
-}
-
-DeviceStats FaultInjectionDrive::stats() const {
-  DeviceStats s = target_->stats();
-  s.read_errors = met_.read_errors->Value();
-  s.write_errors = met_.write_errors->Value();
-  s.torn_writes = met_.torn_writes->Value();
-  s.crashes = met_.crashes->Value();
-  return s;
 }
 
 }  // namespace sealdb::smr

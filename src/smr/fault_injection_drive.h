@@ -16,8 +16,9 @@
 //
 // Successful writes heal injected per-block read errors on the rewritten
 // blocks, like a drive remapping a bad sector on write. Injected faults are
-// folded into DeviceStats (read_errors / write_errors / torn_writes /
-// crashes) so benches and tests can account for them.
+// counted in the sealdb_device_faults_total family (read_errors /
+// write_errors / torn_writes / crashes) of the target drive's registry, so
+// metrics() shows them beside the target's traffic counters.
 #pragma once
 
 #include <atomic>
@@ -33,12 +34,10 @@ namespace sealdb::smr {
 
 class FaultInjectionDrive final : public Drive {
  public:
-  // Share the target drive's registry so the fault counters land in the
-  // same sealdb_device_faults_total family the exposition renders; a null
-  // registry keeps them in a decorator-private one.
-  explicit FaultInjectionDrive(
-      std::unique_ptr<Drive> target,
-      std::shared_ptr<obs::MetricsRegistry> registry = nullptr);
+  // The decorator's metrics are built on the target drive's registry, so
+  // its traffic counters are the target's own and its fault counters land
+  // in the same sealdb_device_faults_total family the exposition renders.
+  explicit FaultInjectionDrive(std::unique_ptr<Drive> target);
   ~FaultInjectionDrive() override = default;
 
   // ---- fault programming ----
@@ -101,7 +100,7 @@ class FaultInjectionDrive final : public Drive {
   Status Write(uint64_t offset, const Slice& data) override;
   Status Trim(uint64_t offset, uint64_t n) override;
   const Geometry& geometry() const override { return target_->geometry(); }
-  DeviceStats stats() const override;
+  const DeviceMetrics& metrics() const override { return met_; }
   bool IsValid(uint64_t offset, uint64_t n) const override {
     return target_->IsValid(offset, n);
   }
@@ -142,8 +141,8 @@ class FaultInjectionDrive final : public Drive {
 
   uint64_t blocks_written_ = 0;
 
-  // Fault counters; stats() overlays them on the target's snapshot (the
-  // inner drive never increments the fault metrics itself).
+  // Same registry as the target's: traffic counters alias the target's,
+  // and only this decorator increments the fault counters.
   DeviceMetrics met_;
 };
 

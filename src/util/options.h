@@ -58,22 +58,10 @@ struct Options {
   // manager (src/buf/, DESIGN.md §14). Not owned; shared stacks pass one
   // pool so every shard column caches into the same frames.
   buf::BufferPool* buffer_pool = nullptr;
-  // When buffer_pool is null and the effective size below is nonzero, the
-  // DB creates (and owns) a private BufferPool of that many bytes. The
-  // sentinel kBufferPoolBytesFromBlockCache (the default) defers to the
-  // deprecated block_cache_bytes knob so existing configs keep their
-  // sizing; zero disables block caching entirely.
-  static constexpr size_t kBufferPoolBytesFromBlockCache = ~size_t{0};
-  size_t buffer_pool_bytes = kBufferPoolBytesFromBlockCache;
-  // Deprecated: pre-buffer-pool name for the read-cache budget. Used only
-  // when buffer_pool_bytes is left at its sentinel default.
-  size_t block_cache_bytes = 8 * 1024 * 1024;
-  // The read-cache budget after applying the compat fallback.
-  size_t effective_buffer_pool_bytes() const {
-    return buffer_pool_bytes == kBufferPoolBytesFromBlockCache
-               ? block_cache_bytes
-               : buffer_pool_bytes;
-  }
+  // When buffer_pool is null and this is nonzero, the DB creates (and owns)
+  // a private BufferPool of that many bytes; zero disables block caching
+  // entirely.
+  size_t buffer_pool_bytes = 8 * 1024 * 1024;
 
   // -------- LSM shape --------
   int num_levels = 7;
@@ -129,7 +117,7 @@ struct Options {
   // Metrics registry the engine publishes its sealdb_engine_* counters
   // into. Shared with the drive/allocator/server by the preset stacks so
   // one exposition covers the whole process; when null the DB creates a
-  // private registry (counters still drive GetDbStats / sealdb.stats).
+  // private registry (counters still drive sealdb.stats).
   std::shared_ptr<obs::MetricsRegistry> metrics_registry;
 
   // -------- sharding --------

@@ -57,6 +57,10 @@ void Runner::Settle() {
   if (stack_ != nullptr) stack_->db()->WaitForIdle();
 }
 
+double Runner::DeviceBusySeconds() const {
+  return stack_ != nullptr ? stack_->drive()->metrics().busy->Seconds() : 0.0;
+}
+
 Status Runner::Load(uint64_t record_count, RunResult* result, int threads) {
   *result = RunResult();
   result->workload = "Load";
@@ -66,8 +70,7 @@ Status Runner::Load(uint64_t record_count, RunResult* result, int threads) {
   if (record_count > 0 && static_cast<uint64_t>(nthreads) > record_count) {
     nthreads = static_cast<int>(record_count);
   }
-  const double device_before =
-      stack_ != nullptr ? stack_->device_stats().busy_seconds : 0.0;
+  const double device_before = DeviceBusySeconds();
   const auto wall_start = Clock::now();
   if (nthreads == 1) {
     CoreWorkload workload(WorkloadSpec::Load(), 0, key_bytes_, value_bytes_,
@@ -121,10 +124,7 @@ Status Runner::Load(uint64_t record_count, RunResult* result, int threads) {
   }
   Settle();
   result->wall_seconds = SecondsSince(wall_start);
-  if (stack_ != nullptr) {
-    result->device_seconds =
-        stack_->device_stats().busy_seconds - device_before;
-  }
+  result->device_seconds = DeviceBusySeconds() - device_before;
   return Status::OK();
 }
 
@@ -134,8 +134,7 @@ Status Runner::Run(const WorkloadSpec& spec, uint64_t record_count,
   result->workload = spec.name;
   CoreWorkload workload(spec, record_count, key_bytes_, value_bytes_,
                         seed_ + 100);
-  const double device_before =
-      stack_ != nullptr ? stack_->device_stats().busy_seconds : 0.0;
+  const double device_before = DeviceBusySeconds();
   const auto wall_start = Clock::now();
   std::string value;
 
@@ -187,10 +186,7 @@ Status Runner::Run(const WorkloadSpec& spec, uint64_t record_count,
   }
   Settle();
   result->wall_seconds = SecondsSince(wall_start);
-  if (stack_ != nullptr) {
-    result->device_seconds =
-        stack_->device_stats().busy_seconds - device_before;
-  }
+  result->device_seconds = DeviceBusySeconds() - device_before;
   return Status::OK();
 }
 

@@ -76,6 +76,8 @@ class Runner {
   Status OpPut(const std::string& key, const std::string& value);
   Status OpScan(const std::string& start, int len, std::string* sink);
   void Settle();  // WaitForIdle in embedded mode; no-op remotely
+  // Simulated drive busy time in embedded mode; 0 remotely.
+  double DeviceBusySeconds() const;
 
   baselines::Stack* stack_ = nullptr;
   net::SealClient* client_ = nullptr;

@@ -75,6 +75,20 @@ std::string Value(int client, int i) {
   return buf;
 }
 
+// One sealdb_server_* counter from the server's registry.
+uint64_t ServerCounter(const server::SealServer& server,
+                       const std::string& name,
+                       const obs::Labels& labels = {}) {
+  return server.metrics_registry()->counter_value(name, labels);
+}
+
+// kBusy responses: every admission rejection except refused connections.
+uint64_t BusyRejections(const server::SealServer& server) {
+  const char* name = "sealdb_server_admission_rejected_total";
+  return server.metrics_registry()->counter_family_sum(name) -
+         ServerCounter(server, name, {{"reason", "connections"}});
+}
+
 uint64_t NowMillis() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -471,8 +485,7 @@ TEST_F(AdmissionTest, BurstOverloadSeesTypedBusyRejections) {
   EXPECT_LE(mem_after, mem_before + opts.max_queued_write_bytes +
                            static_cast<uint64_t>(kBurst) * 1024 + (256 << 10));
 
-  const server::ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.busy_rejections(), static_cast<uint64_t>(busy));
+  EXPECT_EQ(BusyRejections(*server_), static_cast<uint64_t>(busy));
 
   // The rejections are STATS-visible to remote operators too.
   stack_->fault_drive()->SetWriteDelayMicros(0);
@@ -498,7 +511,9 @@ TEST_F(AdmissionTest, ConnectionCapRejectsWithTypedError) {
   ASSERT_TRUE(c.Connect("127.0.0.1", server_->port()).ok());
   Status s = c.Ping();
   EXPECT_TRUE(s.IsBusy() || s.IsIOError()) << s.ToString();
-  EXPECT_GE(server_->stats().connections_rejected, 1u);
+  EXPECT_GE(ServerCounter(*server_, "sealdb_server_admission_rejected_total",
+                          {{"reason", "connections"}}),
+            1u);
 
   // Established connections are unaffected, and capacity freed by a
   // departing connection is reusable.
@@ -544,7 +559,8 @@ TEST_F(AdmissionTest, SlowClientIsEvictedNotBuffered) {
 
   uint64_t evictions = 0;
   for (int i = 0; i < 500 && evictions == 0; i++) {
-    evictions = server_->stats().slow_client_evictions;
+    evictions =
+        ServerCounter(*server_, "sealdb_server_slow_client_evictions_total");
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   net::CloseFd(fd);
@@ -594,12 +610,12 @@ TEST_F(AdmissionTest, DuplicateWriteResubmissionIsNotReapplied) {
   // First submission applies.
   ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
   ASSERT_TRUE(read_response_status().ok());
-  EXPECT_EQ(server_->stats().dedup_replays, 0u);
+  EXPECT_EQ(ServerCounter(*server_, "sealdb_server_dedup_replays_total"), 0u);
 
   // Exact resubmission is acked OK from the dedup window, not re-applied.
   ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
   ASSERT_TRUE(read_response_status().ok());
-  EXPECT_EQ(server_->stats().dedup_replays, 1u);
+  EXPECT_EQ(ServerCounter(*server_, "sealdb_server_dedup_replays_total"), 1u);
   net::CloseFd(fd);
 
   std::string got;
@@ -672,7 +688,7 @@ TEST_F(YcsbAdmissionTest, OverloadedRunCompletesWithRejections) {
 
   EXPECT_TRUE(RunYcsbA(/*deadline_millis=*/20000)) << failures_;
   stack_->fault_drive()->SetWriteDelayMicros(0);
-  EXPECT_GT(server_->stats().busy_rejections(), 0u);
+  EXPECT_GT(BusyRejections(*server_), 0u);
 }
 
 TEST_F(YcsbAdmissionTest, UnderloadedRunSeesNoRejections) {
@@ -689,8 +705,10 @@ TEST_F(YcsbAdmissionTest, UnderloadedRunSeesNoRejections) {
   Start(opts, config);
 
   EXPECT_TRUE(RunYcsbA(/*deadline_millis=*/20000)) << failures_;
-  EXPECT_EQ(server_->stats().busy_rejections(), 0u);
-  EXPECT_EQ(server_->stats().slow_client_evictions, 0u);
+  EXPECT_EQ(BusyRejections(*server_), 0u);
+  EXPECT_EQ(
+      ServerCounter(*server_, "sealdb_server_slow_client_evictions_total"),
+      0u);
 }
 
 }  // namespace sealdb

@@ -126,7 +126,9 @@ TEST_P(DBTest, GetFromDiskAfterFlush) {
     EXPECT_EQ(Value(i), Get(Key(i))) << "key " << i;
   }
   // Flushes definitely happened.
-  EXPECT_GT(db_->GetDbStats().num_flushes, 0u);
+  EXPECT_GT(stack_->metrics_registry()->counter_family_sum(
+                "sealdb_engine_flushes_total"),
+            0u);
 }
 
 TEST_P(DBTest, OverwritesAcrossCompactions) {
@@ -321,14 +323,14 @@ TEST_P(DBTest, StatsAccounting) {
     ASSERT_TRUE(Put(Key(rnd.Uniform(20000)), Value(i)).ok());
   }
   db_->WaitForIdle();
-  DbStats stats = db_->GetDbStats();
-  EXPECT_GT(stats.user_bytes_written, 0u);
-  EXPECT_GT(stats.flush_bytes_written, 0u);
-  EXPECT_GT(stats.num_compactions, 0u);
-  EXPECT_GE(stats.wa(), 1.0);
+  const obs::MetricsRegistry& reg = *stack_->metrics_registry();
+  EXPECT_GT(reg.counter_family_sum("sealdb_engine_user_bytes_total"), 0u);
+  EXPECT_GT(reg.counter_family_sum("sealdb_engine_flush_bytes_total"), 0u);
+  EXPECT_GT(reg.counter_family_sum("sealdb_engine_compactions_total"), 0u);
+  EXPECT_GE(stack_->wa(), 1.0);
   // Device accounting is consistent: physical >= logical only through RMW.
-  smr::DeviceStats dev = stack_->device_stats();
-  EXPECT_GE(dev.physical_bytes_written, dev.logical_bytes_written);
+  const smr::DeviceMetrics& dev = stack_->drive()->metrics();
+  EXPECT_GE(dev.physical_write->Value(), dev.logical_write->Value());
   EXPECT_GE(stack_->mwa(), stack_->wa());
 }
 
@@ -366,7 +368,8 @@ TEST_P(DBTest, DestroyRemovesFiles) {
 }
 
 // Write stalls engage when a slowed device lets L0 files pile past the
-// lowered triggers, are visible in DbStats and through DB::WriteStallLevel
+// lowered triggers, are counted in the sealdb_engine_write_stall_events
+// family and visible through DB::WriteStallLevel
 // (the hook the serving layer polls for door-level backpressure), and
 // release once the device heals and compactions catch up.
 TEST(WriteStallTest, SlowDeviceEngagesAndReleasesStall) {
@@ -391,9 +394,10 @@ TEST(WriteStallTest, SlowDeviceEngagesAndReleasesStall) {
     const int level = db->WriteStallLevel();
     if (level > max_level) max_level = level;
   }
-  const DbStats mid = db->GetDbStats();
   EXPECT_GE(max_level, 1);
-  EXPECT_GT(mid.write_stall_slowdowns + mid.write_stall_stops, 0u);
+  EXPECT_GT(stack->metrics_registry()->counter_family_sum(
+                "sealdb_engine_write_stall_events_total"),
+            0u);
 
   // Device healed: the backlog drains and the stall releases.
   stack->fault_drive()->SetWriteDelayMicros(0);

@@ -62,7 +62,7 @@ TEST(FaultInjectionDriveTest, TransientReadErrorHealsAfterFailures) {
   // Third attempt: the transient fault has burned out.
   ASSERT_TRUE(drive->Read(0, kBlock, buf.data()).ok());
   EXPECT_EQ(Blocks(1, 'x'), buf);
-  EXPECT_EQ(2u, drive->stats().read_errors);
+  EXPECT_EQ(2u, drive->metrics().read_errors->Value());
 }
 
 TEST(FaultInjectionDriveTest, PermanentReadErrorUntilClearedOrRewritten) {
@@ -96,7 +96,7 @@ TEST(FaultInjectionDriveTest, RangedWriteErrors) {
   EXPECT_TRUE(drive->Write(0, Blocks(1, 'a')).ok());
   EXPECT_TRUE(drive->Write(8 << 20, Blocks(1, 'b')).IsIOError());
   EXPECT_FALSE(drive->IsValid(8 << 20, kBlock));  // nothing persisted
-  EXPECT_EQ(1u, drive->stats().write_errors);
+  EXPECT_EQ(1u, drive->metrics().write_errors->Value());
   drive->SetWriteError(false);
   EXPECT_TRUE(drive->Write(8 << 20, Blocks(1, 'b')).ok());
 }
@@ -113,7 +113,7 @@ TEST(FaultInjectionDriveTest, TornWritePersistsOnlyPrefix) {
   std::string buf(2 * kBlock, 0);
   ASSERT_TRUE(drive->Read(0, 2 * kBlock, buf.data()).ok());
   EXPECT_EQ(Blocks(2, 'w'), buf);
-  EXPECT_EQ(1u, drive->stats().torn_writes);
+  EXPECT_EQ(1u, drive->metrics().torn_writes->Value());
 
   // One-shot: the next write goes through whole.
   ASSERT_TRUE(drive->Write(0, Blocks(4, 'v')).ok());
@@ -143,7 +143,30 @@ TEST(FaultInjectionDriveTest, CrashPointTearsAndKillsTheDrive) {
   ASSERT_TRUE(drive->Read(0, 3 * kBlock, buf.data()).ok());
   EXPECT_TRUE(drive->IsValid(2 * kBlock, kBlock));
   EXPECT_FALSE(drive->IsValid(3 * kBlock, kBlock));
-  EXPECT_EQ(1u, drive->stats().crashes);
+  EXPECT_EQ(1u, drive->metrics().crashes->Value());
+}
+
+// The decorator's metrics are the inner drive's registry: its traffic
+// counters are the target's own, and the fault counters sit beside them.
+TEST(FaultInjectionDriveTest, MetricsShareTheTargetRegistry) {
+  auto drive = MakeFaultHdd();
+  const smr::DeviceMetrics& m = drive->metrics();
+  const smr::DeviceMetrics& inner = drive->target()->metrics();
+  EXPECT_EQ(m.registry(), inner.registry());
+  EXPECT_EQ(m.write_ops, inner.write_ops);
+
+  ASSERT_TRUE(drive->Write(0, Blocks(2, 'm')).ok());
+  drive->SetWriteError(true);
+  EXPECT_TRUE(drive->Write(0, Blocks(1, 'n')).IsIOError());
+  EXPECT_EQ(1u, m.write_ops->Value());
+  EXPECT_EQ(1u, m.write_errors->Value());
+  EXPECT_EQ(2 * kBlock, m.logical_write->Value());
+
+  const obs::MetricsRegistry& reg = *m.registry();
+  EXPECT_EQ(1u, reg.counter_value("sealdb_device_ops_total",
+                                  {{"kind", "write"}}));
+  EXPECT_EQ(1u, reg.counter_value("sealdb_device_faults_total",
+                                  {{"kind", "write_error"}}));
 }
 
 TEST(FaultInjectionDriveTest, ProbabilisticReadErrorsAreTransient) {
@@ -158,7 +181,8 @@ TEST(FaultInjectionDriveTest, ProbabilisticReadErrorsAreTransient) {
   }
   EXPECT_GT(failures, 50);
   EXPECT_LT(failures, 150);
-  EXPECT_EQ(static_cast<uint64_t>(failures), drive->stats().read_errors);
+  EXPECT_EQ(static_cast<uint64_t>(failures),
+            drive->metrics().read_errors->Value());
   drive->SetReadErrorProbability(0.0);
   EXPECT_TRUE(drive->Read(0, kBlock, buf.data()).ok());
 }
@@ -442,7 +466,7 @@ TEST(DbFaultTest, WriteErrorDuringCompactionDegradesToReadOnly) {
   ASSERT_TRUE(db->Put(sync, "recovered", "yes").ok());
   ASSERT_TRUE(db->Get(ReadOptions(), Key(10), &value).ok());
   EXPECT_EQ(Value(10), value);
-  EXPECT_GT(stack->device_stats().write_errors, 0u);
+  EXPECT_GT(stack->drive()->metrics().write_errors->Value(), 0u);
 }
 
 }  // namespace sealdb

@@ -256,9 +256,9 @@ TEST_P(ParallelCompactionTest, ConcurrentWritersAndReaders) {
     }
   }
 
-  const DbStats stats = db_->GetDbStats();
-  EXPECT_GT(stats.num_compactions, 0u);
-  EXPECT_GE(stats.max_parallel_compactions, 2u)
+  const obs::MetricsRegistry& reg = *stack_->metrics_registry();
+  EXPECT_GT(reg.counter_family_sum("sealdb_engine_compactions_total"), 0u);
+  EXPECT_GE(reg.gauge_family_max("sealdb_engine_max_parallel_compactions"), 2)
       << "executor never overlapped two compactions";
 }
 
@@ -275,7 +275,9 @@ TEST_P(ParallelCompactionTest, StatsExposeParallelismAndStages) {
   EXPECT_NE(props.find("compaction stage micros"), std::string::npos) << props;
   EXPECT_NE(props.find("max parallel compactions"), std::string::npos)
       << props;
-  EXPECT_GE(db_->GetDbStats().max_parallel_compactions, 2u);
+  EXPECT_GE(stack_->metrics_registry()->gauge_family_max(
+                "sealdb_engine_max_parallel_compactions"),
+            2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Systems, ParallelCompactionTest,

@@ -187,6 +187,11 @@ class ServerTest : public ::testing::Test {
     if (stack_ != nullptr) stack_->db()->WaitForIdle();
   }
 
+  // One sealdb_server_* counter from the server's registry.
+  uint64_t ServerCounter(const std::string& name) const {
+    return server_->metrics_registry()->counter_value(name);
+  }
+
   std::unique_ptr<Stack> stack_;
   std::unique_ptr<server::SealServer> server_;
 };
@@ -258,8 +263,9 @@ TEST_F(ServerTest, PipelinedBatchApi) {
   }
 
   // Pipelined writes must have hit the group-commit path.
-  EXPECT_GE(server_->stats().write_groups, 1u);
-  EXPECT_EQ(server_->stats().batched_writes, static_cast<uint64_t>(kOps));
+  EXPECT_GE(ServerCounter("sealdb_server_write_groups_total"), 1u);
+  EXPECT_EQ(ServerCounter("sealdb_server_batched_writes_total"),
+            static_cast<uint64_t>(kOps));
 }
 
 TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
@@ -323,7 +329,7 @@ TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
   net::SealClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   EXPECT_TRUE(client.Ping().ok());
-  EXPECT_GE(server_->stats().protocol_errors, 2u);
+  EXPECT_GE(ServerCounter("sealdb_server_protocol_errors_total"), 2u);
 }
 
 TEST_F(ServerTest, ConcurrentClientsNoLostOrDuplicatedAcks) {
@@ -377,9 +383,9 @@ TEST_F(ServerTest, ConcurrentClientsNoLostOrDuplicatedAcks) {
     }
   }
 
-  const server::ServerStats st = server_->stats();
-  EXPECT_GE(st.connections_accepted, static_cast<uint64_t>(kClients));
-  EXPECT_GE(st.requests,
+  EXPECT_GE(ServerCounter("sealdb_server_connections_accepted_total"),
+            static_cast<uint64_t>(kClients));
+  EXPECT_GE(ServerCounter("sealdb_server_requests_total"),
             static_cast<uint64_t>(2 * kClients * kOpsPerClient));
 }
 

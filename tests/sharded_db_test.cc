@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -292,8 +293,8 @@ TEST(ShardedDbTest, StatsAndMetricsCarryShardBreakdown) {
   }
 
   // Engine and allocator series are stamped with {shard=...}, and the
-  // family helpers aggregate them back to the same totals the DbStats
-  // aggregate reports.
+  // family helpers aggregate them back to the totals of the aggregate
+  // block.
   const auto& reg = *stack->metrics_registry();
   const std::string rendered = reg.Render();
   for (int i = 0; i < 4; i++) {
@@ -308,7 +309,33 @@ TEST(ShardedDbTest, StatsAndMetricsCarryShardBreakdown) {
   }
   EXPECT_EQ(flushes_via_labels,
             reg.counter_family_sum("sealdb_engine_flushes_total"));
-  EXPECT_EQ(flushes_via_labels, stack->db_stats().num_flushes);
+
+  // The aggregate block (before the first shard section) prints the
+  // registry's family sums, and the per-shard sections add up to it.
+  auto figures = [](const std::string& text) {
+    unsigned long long flushes = 0, compactions = 0;
+    const size_t at = text.find("flushes: ");
+    EXPECT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(std::sscanf(text.c_str() + at,
+                          "flushes: %llu, compactions: %llu", &flushes,
+                          &compactions),
+              2)
+        << text;
+    return std::make_pair(uint64_t{flushes}, uint64_t{compactions});
+  };
+  const auto total = figures(stats.substr(0, stats.find("--- shard 0 ---")));
+  EXPECT_GT(total.first, 0u);
+  EXPECT_EQ(total.first, reg.counter_family_sum("sealdb_engine_flushes_total"));
+  EXPECT_EQ(total.second,
+            reg.counter_family_sum("sealdb_engine_compactions_total"));
+  std::pair<uint64_t, uint64_t> per_shard{0, 0};
+  for (int i = 0; i < 4; i++) {
+    const size_t at = stats.find("--- shard " + std::to_string(i) + " ---");
+    const auto f = figures(stats.substr(at));
+    per_shard.first += f.first;
+    per_shard.second += f.second;
+  }
+  EXPECT_EQ(per_shard, total);
 }
 
 // ---------------------------------------------------------------------------

@@ -134,8 +134,8 @@ TEST(HddDrive, OverwriteInPlaceAllowed) {
   std::string out(4096, 0);
   ASSERT_TRUE(drive->Read(0, 4096, out.data()).ok());
   EXPECT_EQ(Pattern(4096, 'b'), out);
-  EXPECT_EQ(drive->stats().physical_bytes_written, 8192u);
-  EXPECT_EQ(drive->stats().awa(), 1.0);
+  EXPECT_EQ(drive->metrics().physical_write->Value(), 8192u);
+  EXPECT_EQ(drive->metrics().awa(), 1.0);
 }
 
 TEST(HddDrive, TrimInvalidates) {
@@ -167,8 +167,8 @@ TEST_F(FixedBandTest, SequentialAppendNoRmw) {
     ASSERT_TRUE(drive_->Write(base + i * 1048576, Pattern(1048576, 'a' + i))
                     .ok());
   }
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
-  EXPECT_DOUBLE_EQ(drive_->stats().awa(), 1.0);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
+  EXPECT_DOUBLE_EQ(drive_->metrics().awa(), 1.0);
 }
 
 TEST_F(FixedBandTest, InPlaceRewriteTriggersRmw) {
@@ -176,7 +176,7 @@ TEST_F(FixedBandTest, InPlaceRewriteTriggersRmw) {
   // Fill the whole band sequentially, then rewrite the first megabyte.
   ASSERT_TRUE(drive_->Write(base, Pattern(kBand, 'a')).ok());
   ASSERT_TRUE(drive_->Write(base, Pattern(1048576, 'b')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 1u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 1u);
 
   // Data integrity preserved (the read also forces the band write-back).
   std::string out(2 * 1048576, 0);
@@ -187,8 +187,8 @@ TEST_F(FixedBandTest, InPlaceRewriteTriggersRmw) {
 
   // One band RMW for 1 MB of updates: the whole band prefix was re-read
   // and rewritten, so AWA >> 1.
-  EXPECT_GT(drive_->stats().awa(), 1.5);
-  EXPECT_GE(drive_->stats().physical_bytes_read, kBand);
+  EXPECT_GT(drive_->metrics().awa(), 1.5);
+  EXPECT_GE(drive_->metrics().physical_read->Value(), kBand);
 }
 
 TEST_F(FixedBandTest, RewriteTailWithoutFollowingDataIsCheap) {
@@ -198,7 +198,7 @@ TEST_F(FixedBandTest, RewriteTailWithoutFollowingDataIsCheap) {
   // follows within the damage window, so no RMW is needed.
   ASSERT_TRUE(drive_->Trim(base + 1048576, 1048576).ok());
   ASSERT_TRUE(drive_->Write(base + 1048576, Pattern(1048576, 'b')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
 }
 
 TEST_F(FixedBandTest, TrimWholeBandResetsWritePointer) {
@@ -209,7 +209,7 @@ TEST_F(FixedBandTest, TrimWholeBandResetsWritePointer) {
   EXPECT_EQ(drive_->Zone(0).write_pointer, 0u);
   // Sequential reuse after reset is RMW-free.
   ASSERT_TRUE(drive_->Write(base, Pattern(kBand, 'b')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
 }
 
 TEST_F(FixedBandTest, ZoneReport) {
@@ -225,7 +225,7 @@ TEST_F(FixedBandTest, WriteSpanningBands) {
   const uint64_t base = geo_.conventional_bytes;
   // One 12 MB write spans two 8 MB bands; both pieces append cleanly.
   ASSERT_TRUE(drive_->Write(base, Pattern(12 << 20, 'a')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
   EXPECT_EQ(drive_->Zone(0).write_pointer, kBand);
   EXPECT_EQ(drive_->Zone(1).write_pointer, (12ull << 20) - kBand);
 }
@@ -233,7 +233,7 @@ TEST_F(FixedBandTest, WriteSpanningBands) {
 TEST_F(FixedBandTest, ConventionalRegionFreelyRewritable) {
   ASSERT_TRUE(drive_->Write(0, Pattern(4096, 'a')).ok());
   ASSERT_TRUE(drive_->Write(0, Pattern(4096, 'b')).ok());
-  EXPECT_EQ(drive_->stats().rmw_ops, 0u);
+  EXPECT_EQ(drive_->metrics().rmw_ops->Value(), 0u);
 }
 
 TEST_F(FixedBandTest, SameBandUpdatesBatchIntoOneRmw) {
@@ -241,15 +241,19 @@ TEST_F(FixedBandTest, SameBandUpdatesBatchIntoOneRmw) {
   // translation layer buffers the band and writes it back once).
   const uint64_t base = geo_.conventional_bytes;
   ASSERT_TRUE(drive_->Write(base, Pattern(kBand, 'a')).ok());
-  const auto before = drive_->stats();
+  const DeviceMetrics& m = drive_->metrics();
+  const uint64_t rmw0 = m.rmw_ops->Value();
+  const uint64_t logical0 = m.logical_write->Value();
+  const uint64_t physical0 = m.physical_write->Value();
   for (int i = 0; i < 4; i++) {
     ASSERT_TRUE(drive_->Write(base + i * 1048576, Pattern(1048576, 'b')).ok());
   }
   drive_->Zone(0);  // forces the write-back
-  const auto delta = drive_->stats() - before;
-  EXPECT_EQ(delta.rmw_ops, 1u);
+  EXPECT_EQ(m.rmw_ops->Value() - rmw0, 1u);
   // 4 MB logical, one full-band read + write-back: AWA = 8/4 = 2.
-  EXPECT_NEAR(delta.awa(), 2.0, 0.1);
+  EXPECT_NEAR(static_cast<double>(m.physical_write->Value() - physical0) /
+                  static_cast<double>(m.logical_write->Value() - logical0),
+              2.0, 0.1);
 }
 
 TEST_F(FixedBandTest, AwaScalesWithBandToWriteRatio) {
@@ -258,17 +262,21 @@ TEST_F(FixedBandTest, AwaScalesWithBandToWriteRatio) {
   const uint64_t base = geo_.conventional_bytes;
   ASSERT_TRUE(drive_->Write(base, Pattern(kBand, 'a')).ok());
   ASSERT_TRUE(drive_->Write(base + kBand, Pattern(kBand, 'b')).ok());
-  const auto before = drive_->stats();
+  const DeviceMetrics& m = drive_->metrics();
+  const uint64_t rmw0 = m.rmw_ops->Value();
+  const uint64_t logical0 = m.logical_write->Value();
+  const uint64_t physical0 = m.physical_write->Value();
   for (int i = 0; i < 4; i++) {
     const uint64_t band_base = base + (i % 2) * kBand;
     ASSERT_TRUE(
         drive_->Write(band_base + 1048576, Pattern(1048576, 'c')).ok());
   }
   drive_->Zone(0);  // flush the last staged band
-  const auto delta = drive_->stats() - before;
-  EXPECT_EQ(delta.rmw_ops, 4u);
+  EXPECT_EQ(m.rmw_ops->Value() - rmw0, 4u);
   // 4 MB logical, ~4 band write-backs (8 MB each): AWA ~ 8.
-  EXPECT_GT(delta.awa(), 4.0);
+  EXPECT_GT(static_cast<double>(m.physical_write->Value() - physical0) /
+                static_cast<double>(m.logical_write->Value() - logical0),
+            4.0);
 }
 
 // --------------------------------------------------------- shingled disk
@@ -343,8 +351,8 @@ TEST_F(ShingledDiskTest, NoAuxiliaryAmplificationEver) {
   ASSERT_TRUE(disk_->Write(base_, Pattern(4 << 20, 'a')).ok());
   ASSERT_TRUE(disk_->Trim(base_, 1 << 20).ok());
   ASSERT_TRUE(disk_->Write(base_ + (8 << 20), Pattern(2 << 20, 'b')).ok());
-  EXPECT_DOUBLE_EQ(disk_->stats().awa(), 1.0);
-  EXPECT_EQ(disk_->stats().rmw_ops, 0u);
+  EXPECT_DOUBLE_EQ(disk_->metrics().awa(), 1.0);
+  EXPECT_EQ(disk_->metrics().rmw_ops->Value(), 0u);
 }
 
 TEST_F(ShingledDiskTest, InsertAtEndOfValidDataNoGuardNeeded) {
@@ -390,23 +398,6 @@ TEST(LatencyModel, ScaleOfOneIsIdentity) {
   const LatencyParams q = p.TimeScaled(1);
   EXPECT_DOUBLE_EQ(p.max_seek_s, q.max_seek_s);
   EXPECT_DOUBLE_EQ(p.rotation_s, q.rotation_s);
-}
-
-// Device stats subtraction helper.
-TEST(DeviceStats, Subtraction) {
-  DeviceStats a, b;
-  a.logical_bytes_written = 100;
-  a.physical_bytes_written = 300;
-  a.busy_seconds = 2.0;
-  b.logical_bytes_written = 40;
-  b.physical_bytes_written = 100;
-  b.busy_seconds = 0.5;
-  DeviceStats d = a - b;
-  EXPECT_EQ(d.logical_bytes_written, 60u);
-  EXPECT_EQ(d.physical_bytes_written, 200u);
-  EXPECT_DOUBLE_EQ(d.busy_seconds, 1.5);
-  EXPECT_NEAR(d.awa(), 200.0 / 60.0, 1e-9);
-  EXPECT_FALSE(a.ToString().empty());
 }
 
 }  // namespace sealdb::smr

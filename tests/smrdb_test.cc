@@ -97,7 +97,7 @@ TEST_F(SmrdbTest, NoBandRmw) {
         db_->Put(WriteOptions(), Key(rnd.Uniform(3000)), Value(i)).ok());
   }
   db_->WaitForIdle();
-  EXPECT_EQ(stack_->device_stats().rmw_ops, 0u);
+  EXPECT_EQ(stack_->drive()->metrics().rmw_ops->Value(), 0u);
   EXPECT_DOUBLE_EQ(stack_->awa(), 1.0);
 }
 
