@@ -132,6 +132,14 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(batched),
       static_cast<unsigned long long>(groups),
       groups > 0 ? static_cast<double>(batched) / groups : 0.0);
+  // One response per request.
+  const uint64_t responses = reg.counter_value("sealdb_server_requests_total");
+  const uint64_t sends = reg.counter_value("sealdb_server_socket_writes_total");
+  std::printf(
+      "  server: %llu responses in %llu socket writes (%.2f per write)\n",
+      static_cast<unsigned long long>(responses),
+      static_cast<unsigned long long>(sends),
+      sends > 0 ? static_cast<double>(responses) / sends : 0.0);
 
   server.Stop();
   stack->db()->WaitForIdle();

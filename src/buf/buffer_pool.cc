@@ -227,6 +227,15 @@ void BufferPool::RefreshChances(Frame* f, BlockKind kind) {
                    std::memory_order_relaxed);
 }
 
+bool BufferPool::LinkedLocked(size_t b, uint32_t idx) const {
+  for (uint32_t cur = buckets_[b].load(std::memory_order_relaxed);
+       cur != kInvalidFrame;
+       cur = FrameAt(cur)->next.load(std::memory_order_relaxed)) {
+    if (cur == idx) return true;
+  }
+  return false;
+}
+
 void BufferPool::UnlinkLocked(size_t b, uint32_t idx) {
   uint32_t cur = buckets_[b].load(std::memory_order_relaxed);
   const uint32_t next = FrameAt(idx)->next.load(std::memory_order_relaxed);
@@ -440,10 +449,16 @@ bool BufferPool::TryReclaim(uint32_t idx) {
   {
     std::lock_guard<std::mutex> l(p.mu);
     // The frame may have been reclaimed and recycled for another page
-    // since we sampled its identity; re-verify before claiming.
+    // since we sampled its identity. Matching identity is not enough: a
+    // free frame keeps its old identity until an Insert, which holds only
+    // its new bucket's mutex, rewrites it and links the frame there — and
+    // a claim of that frame here would unlink nothing, free a linked
+    // frame, and let its reuse turn a bucket chain into a cycle. Only a
+    // frame linked in bucket b is pinned in place by this mutex.
     if (f->owner.load(std::memory_order_relaxed) != owner ||
         f->file_number.load(std::memory_order_relaxed) != file ||
-        f->offset.load(std::memory_order_relaxed) != off) {
+        f->offset.load(std::memory_order_relaxed) != off ||
+        !LinkedLocked(b, idx)) {
       return false;
     }
     uint32_t expected = kMappedBit;  // mapped, unpinned, not doomed

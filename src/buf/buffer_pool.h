@@ -200,6 +200,8 @@ class BufferPool {
   }
   bool TryPin(Frame* f, int attempts);
   void Unpin(uint32_t idx);
+  // Whether idx is in bucket b's chain; partition mutex held.
+  bool LinkedLocked(size_t b, uint32_t idx) const;
   // Remove idx from bucket b's chain; partition mutex held, version odd.
   void UnlinkLocked(size_t b, uint32_t idx);
   void EnsureRoom(size_t charge);

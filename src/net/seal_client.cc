@@ -3,17 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <unordered_map>
 
 #include "lsm/write_batch.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "util/coding.h"
 
 namespace sealdb::net {
 
 namespace {
+
+// Most bytes one read() may add to the receive buffer.
+constexpr size_t kReceiveChunk = 64 << 10;
 
 uint64_t NowMillis() {
   return static_cast<uint64_t>(
@@ -93,18 +96,14 @@ void SealClient::set_retry_policy(const RetryPolicy& policy) {
 }
 
 Status SealClient::Reconnect() {
-  if (fd_ >= 0) {
-    CloseFd(fd_);
-    fd_ = -1;
-  }
+  CloseSocket();
   if (host_.empty()) return Status::IOError("never connected");
   Status s = ConnectTcp(host_, port_, &fd_, connect_timeout_millis_);
   if (!s.ok()) return s;
   if (recv_timeout_millis_ > 0) {
     s = SetRecvTimeout(fd_, recv_timeout_millis_);
     if (!s.ok()) {
-      CloseFd(fd_);
-      fd_ = -1;
+      CloseSocket();
       return s;
     }
   }
@@ -121,11 +120,15 @@ ClientStats SealClient::stats() const {
   return s;
 }
 
+void SealClient::CloseSocket() {
+  CloseFd(fd_);
+  fd_ = -1;
+  std::vector<char>().swap(rbuf_);
+  rbuf_begin_ = rbuf_end_ = 0;
+}
+
 void SealClient::Close() {
-  if (fd_ >= 0) {
-    CloseFd(fd_);
-    fd_ = -1;
-  }
+  CloseSocket();
   send_buf_.clear();
   pending_.clear();
 }
@@ -137,51 +140,61 @@ Status SealClient::SendFrame(uint8_t opcode, uint64_t request_id,
   return WriteFully(fd_, frame.data(), frame.size());
 }
 
-Status SealClient::ReadFrame(uint8_t* opcode, uint64_t* request_id,
-                             std::string* storage, Slice* payload) {
-  char header[kFrameHeaderBytes];
-  Status s = ReadFully(fd_, header, sizeof(header));
-  if (!s.ok()) return s;
-  // Reassemble header + payload and run it through the shared decoder so
-  // client and server enforce identical framing rules (magic, version,
-  // crc).
-  storage->assign(header, sizeof(header));
-  FrameHeader parsed;
-  {
-    // Validate the header (magic, version, size cap) before trusting the
-    // length field; a header-only input can already fail those checks.
-    Slice probe(*storage);
-    DecodeResult r = DecodeFrame(&probe, &parsed, payload);
-    if (r != DecodeResult::kNeedMore && r != DecodeResult::kOk) {
-      return Status::Corruption("malformed response frame header");
-    }
+Status SealClient::FillReceiveBuffer() {
+  const size_t unread = rbuf_end_ - rbuf_begin_;
+  if (rbuf_.size() > kReceiveChunk && unread < kReceiveChunk) {
+    // The frame that grew the buffer is consumed: give its memory back.
+    std::vector<char> smaller(kReceiveChunk);
+    std::memcpy(smaller.data(), rbuf_.data() + rbuf_begin_, unread);
+    rbuf_.swap(smaller);
+    rbuf_begin_ = 0;
+    rbuf_end_ = unread;
   }
-  const size_t payload_len =
-      static_cast<size_t>(DecodeFixed32(storage->data() + kPayloadLenOffset));
-  storage->resize(kFrameHeaderBytes + payload_len);
-  if (payload_len > 0) {
-    s = ReadFully(fd_, storage->data() + kFrameHeaderBytes, payload_len);
+  if (rbuf_begin_ > 0) {
+    std::memmove(rbuf_.data(), rbuf_.data() + rbuf_begin_, unread);
+    rbuf_begin_ = 0;
+    rbuf_end_ = unread;
+  }
+  // Grow only when one frame outgrows the whole buffer.
+  if (rbuf_end_ == rbuf_.size()) {
+    rbuf_.resize(std::max(kReceiveChunk, 2 * rbuf_.size()));
+  }
+  size_t got = 0;
+  Status s = ReadSome(fd_, rbuf_.data() + rbuf_end_,
+                      std::min(kReceiveChunk, rbuf_.size() - rbuf_end_), &got);
+  if (s.ok()) rbuf_end_ += got;
+  return s;
+}
+
+Status SealClient::ReadFrame(uint8_t* opcode, uint64_t* request_id,
+                             Slice* payload) {
+  for (;;) {
+    // The shared decoder gives client and server identical framing rules
+    // (magic, version, size cap, crc); a header alone can already fail
+    // them, so a bad length field is never trusted.
+    Slice input(rbuf_.data() + rbuf_begin_, rbuf_end_ - rbuf_begin_);
+    FrameHeader header;
+    switch (DecodeFrame(&input, &header, payload)) {
+      case DecodeResult::kOk:
+        rbuf_begin_ = rbuf_end_ - input.size();
+        *opcode = header.opcode;
+        *request_id = header.request_id;
+        return Status::OK();
+      case DecodeResult::kNeedMore:
+        break;
+      case DecodeResult::kBadCrc:
+        return Status::Corruption("response frame checksum mismatch");
+      default:
+        return Status::Corruption("malformed response frame");
+    }
+    Status s = FillReceiveBuffer();
     if (!s.ok()) return s;
   }
-  Slice input(*storage);
-  DecodeResult r = DecodeFrame(&input, &parsed, payload);
-  switch (r) {
-    case DecodeResult::kOk:
-      break;
-    case DecodeResult::kBadCrc:
-      return Status::Corruption("response frame checksum mismatch");
-    default:
-      return Status::Corruption("malformed response frame");
-  }
-  *opcode = parsed.opcode;
-  *request_id = parsed.request_id;
-  return Status::OK();
 }
 
 Status SealClient::OneRoundTrip(uint8_t opcode, uint64_t id,
                                 uint64_t trace_id,
                                 const Slice& request_payload,
-                                std::string* response_storage,
                                 Slice* response_payload) {
   if (fd_ < 0) return Status::IOError("not connected");
   Status s = SendFrame(opcode, id, trace_id, request_payload);
@@ -192,7 +205,7 @@ Status SealClient::OneRoundTrip(uint8_t opcode, uint64_t id,
   for (int skipped = 0; skipped < 32; skipped++) {
     uint8_t resp_opcode = 0;
     uint64_t resp_id = 0;
-    s = ReadFrame(&resp_opcode, &resp_id, response_storage, response_payload);
+    s = ReadFrame(&resp_opcode, &resp_id, response_payload);
     if (!s.ok()) return s;
     if (resp_opcode == (kOpError | kResponseBit)) {
       Status err;
@@ -210,7 +223,6 @@ Status SealClient::OneRoundTrip(uint8_t opcode, uint64_t id,
 }
 
 Status SealClient::RoundTrip(uint8_t opcode, const Slice& request_payload,
-                             std::string* response_storage,
                              Slice* response_payload) {
   if (!pending_.empty()) {
     return Status::InvalidArgument(
@@ -225,7 +237,7 @@ Status SealClient::RoundTrip(uint8_t opcode, const Slice& request_payload,
   last_trace_id_ = trace_id;
   if (!retry_.enabled) {
     return OneRoundTrip(opcode, id, trace_id, request_payload,
-                        response_storage, response_payload);
+                        response_payload);
   }
 
   const uint64_t deadline =
@@ -268,7 +280,7 @@ Status SealClient::RoundTrip(uint8_t opcode, const Slice& request_payload,
     }
 
     last = OneRoundTrip(opcode, id, trace_id, request_payload,
-                        response_storage, response_payload);
+                        response_payload);
     if (last.ok()) {
       // Transport succeeded; peek at the leading status record (every
       // response payload starts with one) so admission-control rejections
@@ -291,12 +303,9 @@ Status SealClient::RoundTrip(uint8_t opcode, const Slice& request_payload,
       return last;  // a typed engine error: give up, it's the real answer
     }
     // IOError / TimedOut / Corruption are all connection-shaped: the
-    // stream is dead or desynced and only a fresh socket is usable.
-    // The connection is mid-frame or dead; only a fresh one is usable.
-    if (fd_ >= 0) {
-      CloseFd(fd_);
-      fd_ = -1;
-    }
+    // stream is dead or desynced and only a fresh socket is usable. Bytes
+    // it already delivered (a late or partial reply) go with it.
+    CloseSocket();
     if (!retry_.reconnect) break;
   }
   if (deadline != 0 && NowMillis() >= deadline) {
@@ -306,10 +315,8 @@ Status SealClient::RoundTrip(uint8_t opcode, const Slice& request_payload,
 }
 
 Status SealClient::Ping() {
-  std::string storage;
   Slice payload;
-  Status s = RoundTrip(static_cast<uint8_t>(Op::kPing), Slice(), &storage,
-                       &payload);
+  Status s = RoundTrip(static_cast<uint8_t>(Op::kPing), Slice(), &payload);
   if (!s.ok()) return s;
   Status remote;
   if (!DecodeStatusRecord(&payload, &remote)) {
@@ -321,10 +328,9 @@ Status SealClient::Ping() {
 Status SealClient::Put(const Slice& key, const Slice& value) {
   std::string req;
   EncodePutRequest(&req, key, value);
-  std::string storage;
   Slice payload;
   Status s =
-      RoundTrip(static_cast<uint8_t>(Op::kPut), req, &storage, &payload);
+      RoundTrip(static_cast<uint8_t>(Op::kPut), req, &payload);
   if (!s.ok()) return s;
   Status remote;
   if (!DecodeStatusRecord(&payload, &remote)) {
@@ -336,10 +342,9 @@ Status SealClient::Put(const Slice& key, const Slice& value) {
 Status SealClient::Get(const Slice& key, std::string* value) {
   std::string req;
   EncodeKeyRequest(&req, key);
-  std::string storage;
   Slice payload;
   Status s =
-      RoundTrip(static_cast<uint8_t>(Op::kGet), req, &storage, &payload);
+      RoundTrip(static_cast<uint8_t>(Op::kGet), req, &payload);
   if (!s.ok()) return s;
   Status remote;
   if (!DecodeGetResponse(payload, &remote, value)) {
@@ -351,10 +356,9 @@ Status SealClient::Get(const Slice& key, std::string* value) {
 Status SealClient::Delete(const Slice& key) {
   std::string req;
   EncodeKeyRequest(&req, key);
-  std::string storage;
   Slice payload;
   Status s =
-      RoundTrip(static_cast<uint8_t>(Op::kDelete), req, &storage, &payload);
+      RoundTrip(static_cast<uint8_t>(Op::kDelete), req, &payload);
   if (!s.ok()) return s;
   Status remote;
   if (!DecodeStatusRecord(&payload, &remote)) {
@@ -366,10 +370,8 @@ Status SealClient::Delete(const Slice& key) {
 Status SealClient::Write(const WriteBatch& batch) {
   std::string req;
   EncodeWriteBatchRequest(&req, batch);
-  std::string storage;
   Slice payload;
-  Status s = RoundTrip(static_cast<uint8_t>(Op::kWriteBatch), req, &storage,
-                       &payload);
+  Status s = RoundTrip(static_cast<uint8_t>(Op::kWriteBatch), req, &payload);
   if (!s.ok()) return s;
   Status remote;
   if (!DecodeStatusRecord(&payload, &remote)) {
@@ -383,10 +385,9 @@ Status SealClient::Scan(
     std::vector<std::pair<std::string, std::string>>* out) {
   std::string req;
   EncodeScanRequest(&req, start, static_cast<uint32_t>(limit));
-  std::string storage;
   Slice payload;
   Status s =
-      RoundTrip(static_cast<uint8_t>(Op::kScan), req, &storage, &payload);
+      RoundTrip(static_cast<uint8_t>(Op::kScan), req, &payload);
   if (!s.ok()) return s;
   Status remote;
   if (!DecodeScanResponse(payload, &remote, out)) {
@@ -396,10 +397,8 @@ Status SealClient::Scan(
 }
 
 Status SealClient::Stats(std::string* text) {
-  std::string storage;
   Slice payload;
-  Status s = RoundTrip(static_cast<uint8_t>(Op::kStats), Slice(), &storage,
-                       &payload);
+  Status s = RoundTrip(static_cast<uint8_t>(Op::kStats), Slice(), &payload);
   if (!s.ok()) return s;
   Status remote;
   if (!DecodeStatsResponse(payload, &remote, text)) {
@@ -409,10 +408,8 @@ Status SealClient::Stats(std::string* text) {
 }
 
 Status SealClient::Metrics(std::string* text) {
-  std::string storage;
   Slice payload;
-  Status s = RoundTrip(static_cast<uint8_t>(Op::kMetrics), Slice(), &storage,
-                       &payload);
+  Status s = RoundTrip(static_cast<uint8_t>(Op::kMetrics), Slice(), &payload);
   if (!s.ok()) return s;
   Status remote;
   // METRICS responses reuse the STATS shape: status record + text blob.
@@ -471,9 +468,8 @@ Status SealClient::Flush(std::vector<Result>* results) {
   for (size_t answered = 0; answered < pending_.size();) {
     uint8_t opcode = 0;
     uint64_t id = 0;
-    std::string storage;
     Slice payload;
-    s = ReadFrame(&opcode, &id, &storage, &payload);
+    s = ReadFrame(&opcode, &id, &payload);
     if (!s.ok()) {
       pending_.clear();
       return s;

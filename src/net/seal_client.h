@@ -16,6 +16,13 @@
 // resubmission of a write whose ack was lost and never applies it twice.
 // The pipelined API does not retry — callers own resubmission there.
 //
+// Responses are read through a per-connection receive buffer: one read()
+// of up to 64 KB, then every complete frame in it is decoded (with the
+// same magic/version/size-cap/crc checks as the server) before the next
+// read. Buffered bytes belong to the socket they came from; Close,
+// Reconnect and the retry path's teardown discard them. A frame larger
+// than 64 KB grows the buffer; it shrinks back once that frame is consumed.
+//
 // Observability (DESIGN.md §12): every request carries a nonzero trace id
 // (a bijective mix of its request id, reused verbatim on retries) in the
 // v2 frame header; the server samples trace ids to record per-request
@@ -141,21 +148,30 @@ class SealClient {
 
   Status SendFrame(uint8_t opcode, uint64_t request_id, uint64_t trace_id,
                    const Slice& payload);
-  // Read exactly one frame; *payload is backed by *storage.
-  Status ReadFrame(uint8_t* opcode, uint64_t* request_id,
-                   std::string* storage, Slice* payload);
+  // One read() of up to 64 KB appended to the receive buffer, after moving
+  // the unread tail (a partial frame) to its front.
+  Status FillReceiveBuffer();
+  // Decode the next frame, reading only when the buffer holds no complete
+  // one. *payload aliases the receive buffer and stays valid until the
+  // next ReadFrame, Reconnect or Close.
+  Status ReadFrame(uint8_t* opcode, uint64_t* request_id, Slice* payload);
   // Send `id` + read its response, no retries. The connection is left in
   // an indeterminate state on failure and must be reopened.
   Status OneRoundTrip(uint8_t opcode, uint64_t id, uint64_t trace_id,
-                      const Slice& request_payload,
-                      std::string* response_storage, Slice* response_payload);
+                      const Slice& request_payload, Slice* response_payload);
   // One sync operation: OneRoundTrip wrapped in the retry policy. Fails if
-  // pipelined requests are pending.
+  // pipelined requests are pending. *response_payload is as in ReadFrame.
   Status RoundTrip(uint8_t opcode, const Slice& request_payload,
-                   std::string* response_storage, Slice* response_payload);
+                   Slice* response_payload);
   Status Reconnect();
+  // Close the socket and discard whatever it had delivered but not yet
+  // been decoded.
+  void CloseSocket();
 
   int fd_ = -1;
+  std::vector<char> rbuf_;         // receive buffer; size() is capacity
+  size_t rbuf_begin_ = 0;          // first undecoded byte
+  size_t rbuf_end_ = 0;            // one past the last received byte
   uint64_t next_request_id_ = 1;   // high bits carry the session nonce
   std::string send_buf_;           // staged pipelined frames
   std::vector<Pending> pending_;   // queue order

@@ -180,19 +180,29 @@ Status WriteFully(int fd, const char* data, size_t n) {
   return Status::OK();
 }
 
-Status ReadFully(int fd, char* scratch, size_t n) {
-  while (n > 0) {
+Status ReadSome(int fd, char* scratch, size_t n, size_t* got) {
+  for (;;) {
     ssize_t r = ::read(fd, scratch, n);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::TimedOut("read timed out");
-      }
-      return ErrnoStatus("read");
+    if (r > 0) {
+      *got = static_cast<size_t>(r);
+      return Status::OK();
     }
     if (r == 0) return Status::IOError("connection closed by peer");
-    scratch += r;
-    n -= static_cast<size_t>(r);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::TimedOut("read timed out");
+    }
+    return ErrnoStatus("read");
+  }
+}
+
+Status ReadFully(int fd, char* scratch, size_t n) {
+  while (n > 0) {
+    size_t got = 0;
+    Status s = ReadSome(fd, scratch, n, &got);
+    if (!s.ok()) return s;
+    scratch += got;
+    n -= got;
   }
   return Status::OK();
 }

@@ -28,10 +28,12 @@ Status SetNoDelay(int fd);
 // 0 disables the timeout (block forever).
 Status SetRecvTimeout(int fd, int millis);
 
-// Blocking full-buffer I/O for the client side. ReadFully fails with
-// IOError on EOF and with TimedOut when a SO_RCVTIMEO deadline expires
-// before `n` bytes arrive.
+// Blocking I/O for the client side. ReadSome returns after one read() that
+// delivered 1..n bytes (*got says how many); ReadFully loops until all `n`
+// arrived. Both fail with IOError on EOF and with TimedOut when a
+// SO_RCVTIMEO deadline expires first.
 Status WriteFully(int fd, const char* data, size_t n);
+Status ReadSome(int fd, char* scratch, size_t n, size_t* got);
 Status ReadFully(int fd, char* scratch, size_t n);
 
 void CloseFd(int fd);

@@ -69,6 +69,10 @@ struct Connection {
   // inside Respond() under `mu`, so "inflight == 0 and wbuf empty" can
   // never be observed between an op finishing and its response landing.
   std::atomic<uint32_t> inflight{0};
+
+  // Listed in pending_flush_ (guarded by the server's pending_mu_), so a
+  // connection is listed at most once per flush.
+  bool flush_listed = false;
 };
 
 using ConnPtr = std::shared_ptr<Connection>;
@@ -164,6 +168,12 @@ struct SealServer::Impl {
     c_dedup_replays_ = r.RegisterCounter(
         "sealdb_server_dedup_replays_total",
         "Retried writes acked from the dedup window without re-applying");
+    c_socket_writes_ = r.RegisterCounter(
+        "sealdb_server_socket_writes_total",
+        "send() calls that moved response bytes");
+    c_idle_wakeups_ = r.RegisterCounter(
+        "sealdb_server_idle_wakeups_total",
+        "Worker wake-ups that found no runnable request (surplus tokens)");
 
     const char* span_help =
         "Sampled request span breakdown (see ServerOptions::trace_sample_"
@@ -241,7 +251,9 @@ struct SealServer::Impl {
   std::vector<std::thread> workers_;
   std::unordered_map<int, ConnPtr> conns_;  // loop thread only
 
-  // Connections with freshly appended responses, waiting for a flush.
+  // Connections with freshly appended responses, waiting for a flush. The
+  // loop flushes them at the end of every epoll batch; workers append
+  // without waking it and wake it once per group (see WorkerMain).
   std::mutex pending_mu_;
   std::vector<ConnPtr> pending_flush_;
 
@@ -250,9 +262,14 @@ struct SealServer::Impl {
   // Each queue elects its own group-commit leader and carries its OWN
   // mutex, so two shards never contend on enqueue or leader election; a
   // separate read_mu_ covers the shared read queue. Work tokens travel
-  // through a counting semaphore: Dispatch releases one per enqueued
-  // request, a worker acquires one and scans the write queues from a
-  // rotating start before falling back to the read queue. A finishing
+  // through a counting semaphore: ParseFrames releases one per enqueued
+  // request, in a single release per parsed recv, and a worker acquires one
+  // and scans the write queues from a rotating start before falling back
+  // to the read queue. Groups run many requests per token, so a token can
+  // find its request already answered by another group; it is surplus
+  // (counted in sealdb_server_idle_wakeups_total). Tokens are not taken
+  // back: one dropped at a leader-locked queue leaves fewer tokens than
+  // requests, and taking back more could strand a queued read. A finishing
   // leader re-releases one token when its queue still holds tasks (their
   // tokens may have been consumed by workers that found the queue
   // leader-locked); a surplus token only costs a wake-scan-sleep cycle.
@@ -344,6 +361,8 @@ struct SealServer::Impl {
   obs::Counter* c_rej_stall_;
   obs::Counter* c_evictions_;
   obs::Counter* c_dedup_replays_;
+  obs::Counter* c_socket_writes_;
+  obs::Counter* c_idle_wakeups_;
   obs::FixedHistogram* h_queue_;
   obs::FixedHistogram* h_commit_;
   obs::FixedHistogram* h_engine_;
@@ -447,7 +466,6 @@ struct SealServer::Impl {
           uint64_t junk;
           while (::read(wake_fd_, &junk, sizeof(junk)) > 0) {
           }
-          FlushPending();
         } else if (fd == listen_fd_) {
           if (!reads_disabled) AcceptNew();
         } else {
@@ -467,6 +485,10 @@ struct SealServer::Impl {
           MaybeClose(conn);
         }
       }
+      // One flush per batch covers both the workers' wake-ups and the
+      // responses this thread queued itself (Busy rejections, protocol
+      // errors), so the loop never has to signal its own eventfd.
+      FlushPending();
 
       if (flush_and_exit_.load(std::memory_order_acquire)) {
         if (!deadline_armed) {
@@ -595,9 +617,13 @@ struct SealServer::Impl {
     ParseFrames(conn);
   }
 
+  // Dispatches every complete frame buffered on `conn`, then hands the
+  // workers one token per queued request in a single release, so a worker
+  // that wakes sees the whole pipelined window rather than its first frame.
   void ParseFrames(const ConnPtr& conn) {
     Slice input(conn->rbuf);
     bool fatal = false;
+    std::ptrdiff_t queued = 0;
     while (!fatal) {
       net::FrameHeader header;
       Slice payload;
@@ -605,7 +631,7 @@ struct SealServer::Impl {
           net::DecodeFrame(&input, &header, &payload, opts_.max_frame_bytes);
       if (res == net::DecodeResult::kNeedMore) break;
       if (res == net::DecodeResult::kOk) {
-        Dispatch(conn, header, payload);
+        if (Dispatch(conn, header, payload)) queued++;
         continue;
       }
       c_protocol_errors_->Inc();
@@ -637,9 +663,12 @@ struct SealServer::Impl {
       conn->reading = false;
       EpollMod(conn->fd, conn->want_write ? EPOLLOUT : 0u);
     }
+    if (queued > 0) work_sem_.release(queued);
   }
 
-  void Dispatch(const ConnPtr& conn, const net::FrameHeader& header,
+  // Queues one request for the workers and returns true, or answers it
+  // right here (rejection, unknown opcode) and returns false.
+  bool Dispatch(const ConnPtr& conn, const net::FrameHeader& header,
                 const Slice& payload) {
     c_requests_->Inc();
     const net::Op op = static_cast<net::Op>(header.opcode);
@@ -659,7 +688,7 @@ struct SealServer::Impl {
         conn->reading = false;
         EpollMod(conn->fd, conn->want_write ? EPOLLOUT : 0u);
       }
-      return;
+      return false;
     }
 
     if (is_write) {
@@ -678,7 +707,7 @@ struct SealServer::Impl {
       c_rej_inflight_->Inc();
       RejectBusy(conn, header,
                  Status::Busy("per-connection in-flight cap reached"));
-      return;
+      return false;
     }
     // Route the write to its shard's commit queue by hashing the decoded
     // key — pure computation, no engine locks. Multi-key batches may span
@@ -712,7 +741,7 @@ struct SealServer::Impl {
       if (stall_level >= 2) {
         c_rej_stall_->Inc();
         RejectBusy(conn, header, Status::Busy("engine write stall"));
-        return;
+        return false;
       }
     }
 
@@ -751,9 +780,9 @@ struct SealServer::Impl {
       conn->inflight.fetch_sub(1, std::memory_order_relaxed);
       c_rej_queue_full_->Inc();
       RejectBusy(conn, header, Status::Busy("write queue over byte budget"));
-      return;
+      return false;
     }
-    work_sem_.release();
+    return true;
   }
 
   // Answer a rejected request with an op-shaped payload carrying `busy`,
@@ -780,26 +809,27 @@ struct SealServer::Impl {
             payload_out);
   }
 
-  // Append one framed response to the connection and schedule a flush.
-  // Safe from any thread. `finish` marks this as the answer to a
-  // dispatched request: the inflight count is decremented under the same
-  // lock that publishes the response bytes, so the loop can never see
-  // "no response buffered and nothing in flight" for an unanswered
-  // request.
+  // Encode one framed response straight into the connection's buffer and
+  // list the connection for the loop's next flush. Safe from any thread;
+  // it does not wake the loop: workers wake it once per group, and the
+  // loop flushes what it queued itself at the end of its epoll batch.
+  // `finish` marks this as the answer to a dispatched request: the
+  // inflight count is decremented under the same lock that publishes the
+  // response bytes, so the loop can never see "no response buffered and
+  // nothing in flight" for an unanswered request.
   void Respond(const ConnPtr& conn, uint8_t opcode, uint64_t request_id,
                const Slice& payload, bool close_after = false,
                bool finish = false) {
-    std::string frame;
-    net::EncodeFrame(&frame, opcode, request_id, payload);
-    bool appended = false;
+    size_t frame_bytes = 0;
     int64_t evicted_bytes = 0;
     {
       std::lock_guard<std::mutex> l(conn->mu);
       if (finish) conn->inflight.fetch_sub(1, std::memory_order_relaxed);
       if (!conn->closed && !conn->evicted) {
-        conn->wbuf.append(frame);
+        const size_t before = conn->wbuf.size();
+        net::EncodeFrame(&conn->wbuf, opcode, request_id, payload);
+        frame_bytes = conn->wbuf.size() - before;
         if (close_after) conn->close_after_flush = true;
-        appended = true;
         // Slow-client eviction: the peer is not draining its responses.
         // Discard the buffer (it will never be read at a useful rate) and
         // have the loop close the fd, bounding per-connection memory.
@@ -813,19 +843,19 @@ struct SealServer::Impl {
         }
       }
     }
-    if (!appended) return;
-    AdjustBuffered(static_cast<int64_t>(frame.size()));
-    c_bytes_out_->Add(frame.size());
+    if (frame_bytes == 0) return;  // connection closed or evicted
+    AdjustBuffered(static_cast<int64_t>(frame_bytes));
+    c_bytes_out_->Add(frame_bytes);
     if (evicted_bytes > 0) {
       // The eviction swallowed everything buffered, including this frame.
       AdjustBuffered(-evicted_bytes);
       c_evictions_->Inc();
     }
-    {
-      std::lock_guard<std::mutex> l(pending_mu_);
+    std::lock_guard<std::mutex> l(pending_mu_);
+    if (!conn->flush_listed) {
+      conn->flush_listed = true;
       pending_flush_.push_back(conn);
     }
-    Wake();
   }
 
   void FlushPending() {
@@ -833,6 +863,7 @@ struct SealServer::Impl {
     {
       std::lock_guard<std::mutex> l(pending_mu_);
       pending.swap(pending_flush_);
+      for (auto& conn : pending) conn->flush_listed = false;
     }
     for (auto& conn : pending) {
       TryFlush(conn);
@@ -848,6 +879,7 @@ struct SealServer::Impl {
       ssize_t w = ::send(conn->fd, conn->wbuf.data() + conn->woff,
                          conn->wbuf.size() - conn->woff, MSG_NOSIGNAL);
       if (w > 0) {
+        c_socket_writes_->Inc();
         conn->woff += static_cast<size_t>(w);
         AdjustBuffered(-w);
         continue;
@@ -957,8 +989,15 @@ struct SealServer::Impl {
 
   // -------------------------------------------------------------- workers
 
+  // Every group, write or read, ends with exactly one Wake():
+  // its responses sit in their connections' buffers until then, and the
+  // loop flushes each connection with one send. Nothing is answered
+  // outside a group, so a worker never blocks on work_sem_ with responses
+  // the loop has not been told about.
   void WorkerMain() {
     const uint64_t n = write_queues_.size();
+    const size_t workers = opts_.num_workers > 0 ? opts_.num_workers : 1;
+    std::vector<Request> reads;
     for (;;) {
       work_sem_.acquire();
       if (workers_exit_.load(std::memory_order_acquire)) return;
@@ -996,6 +1035,7 @@ struct SealServer::Impl {
         }
         queued_write_bytes_.fetch_sub(group_bytes, std::memory_order_relaxed);
         RunWriteGroup(group);
+        Wake();
         bool more;
         {
           std::lock_guard<std::mutex> l(q.mu);
@@ -1009,25 +1049,34 @@ struct SealServer::Impl {
         led_group = true;
       }
       if (led_group) continue;
-      // No runnable write queue: serve a read if one is pending. Otherwise
-      // the token was surplus (its task went to another worker, or a
-      // leader re-released while its queue drained) — drop it and sleep.
-      Request req;
-      bool have_read = false;
+      // No runnable write queue: run a group of pending reads, each with
+      // its own engine call and trace span. A group takes a fair share of
+      // the queue (all of it with one worker), so the other workers' reads
+      // still run in parallel. Otherwise the token was surplus (its task
+      // went to another worker's group, or a leader re-released while its
+      // queue drained) — drop it and sleep.
       {
         std::lock_guard<std::mutex> l(read_mu_);
-        if (!read_tasks_.empty()) {
-          req = std::move(read_tasks_.front());
+        const size_t share =
+            std::min(std::max<size_t>(opts_.max_batch_requests, 1),
+                     (read_tasks_.size() + workers - 1) / workers);
+        while (reads.size() < share) {
+          reads.push_back(std::move(read_tasks_.front()));
           read_tasks_.pop_front();
-          executing_.fetch_add(1, std::memory_order_relaxed);
-          have_read = true;
         }
+        executing_.fetch_add(static_cast<int>(reads.size()),
+                             std::memory_order_relaxed);
       }
-      if (have_read) {
-        RunRead(req);
-        executing_.fetch_sub(1, std::memory_order_relaxed);
-        NotifyDrain();
+      if (reads.empty()) {
+        c_idle_wakeups_->Inc();
+        continue;
       }
+      for (const Request& req : reads) RunRead(req);
+      Wake();
+      executing_.fetch_sub(static_cast<int>(reads.size()),
+                           std::memory_order_relaxed);
+      reads.clear();
+      NotifyDrain();
     }
   }
 
@@ -1280,7 +1329,14 @@ struct SealServer::Impl {
     const uint64_t rej_queue = c_rej_queue_full_->Value();
     const uint64_t rej_inflight = c_rej_inflight_->Value();
     const uint64_t rej_stall = c_rej_stall_->Value();
-    char buf[768];
+    // Every dispatched request is answered exactly once, so requests stand
+    // in for responses (protocol-error replies aside).
+    const uint64_t requests = c_requests_->Value();
+    const uint64_t socket_writes = c_socket_writes_->Value();
+    const double responses_per_write =
+        socket_writes > 0 ? static_cast<double>(requests) / socket_writes
+                          : 0.0;
+    char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
         "-- server --\n"
@@ -1288,6 +1344,8 @@ struct SealServer::Impl {
         "requests: %llu (gets %llu, writes %llu, scans %llu)\n"
         "group commit: %llu groups for %llu writes\n"
         "bytes in/out: %llu / %llu, connection buffers: %llu bytes\n"
+        "responses per socket write: %.2f (%llu requests, %llu writes, "
+        "%llu idle worker wake-ups)\n"
         "protocol errors: %llu\n"
         "busy rejections: %llu (queue %llu, inflight %llu, stall %llu)\n"
         "slow-client evictions: %llu, dedup replays: %llu\n",
@@ -1304,6 +1362,9 @@ struct SealServer::Impl {
         static_cast<unsigned long long>(c_bytes_out_->Value()),
         static_cast<unsigned long long>(
             buffer_bytes_.load(std::memory_order_relaxed)),
+        responses_per_write, static_cast<unsigned long long>(requests),
+        static_cast<unsigned long long>(socket_writes),
+        static_cast<unsigned long long>(c_idle_wakeups_->Value()),
         static_cast<unsigned long long>(c_protocol_errors_->Value()),
         static_cast<unsigned long long>(rej_queue + rej_inflight + rej_stall),
         static_cast<unsigned long long>(rej_queue),

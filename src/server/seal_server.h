@@ -10,9 +10,13 @@
 //     becomes the write leader, drains the queued writes into a single
 //     WriteBatch, applies it with one DB::Write, and acks every request
 //     in the group (LevelDB-style group commit, but across connections);
-//   - workers never touch sockets: responses are appended to the
-//     connection's output buffer under its mutex and the loop is woken
-//     via eventfd to flush.
+//   - reads run in groups too: a worker takes its fair share of the
+//     queued reads (ceil(queued / num_workers), at most
+//     max_batch_requests) and runs them one after another;
+//   - workers never touch sockets: responses are encoded into the
+//     connection's output buffer under its mutex, and a worker wakes the
+//     loop (eventfd) once per group; the loop then flushes each
+//     connection with one send.
 //
 // Graceful shutdown: Stop() stops accepting and reading, waits until every
 // parsed request has been executed and acked, flushes the remaining output

@@ -1,12 +1,16 @@
 // Network service layer tests: wire-protocol round trips, malformed and
-// truncated frames, pipelining, concurrent clients (including 8 YCSB-A
-// clients over loopback with a lost/duplicate-ack audit), graceful
-// shutdown with in-flight writes, and a FaultInjectionDrive behind the
-// server (read-only degradation must surface as a typed error response,
-// not a hang). Runs under TSan via the "stress" ctest label.
+// truncated frames, pipelining (and the server's per-group response
+// batching), concurrent clients (including 8 YCSB-A clients over loopback
+// with a lost/duplicate-ack audit), graceful shutdown with in-flight
+// writes, a FaultInjectionDrive behind the server (read-only degradation
+// must surface as a typed error response, not a hang), and the client's
+// buffered frame reader against a scripted raw peer. Runs under TSan via
+// the "stress" ctest label.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -171,11 +175,10 @@ TEST(WireFormat, WriteBatchRoundTrip) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  void StartServer(bool fault_injection = false, int workers = 4) {
+  void StartServer(bool fault_injection = false,
+                   const server::ServerOptions& opts = {}) {
     ASSERT_TRUE(
         BuildStack(SmallConfig(fault_injection), "/served", &stack_).ok());
-    server::ServerOptions opts;
-    opts.num_workers = workers;
     server_ = std::make_unique<server::SealServer>(stack_->db(), stack_.get(),
                                                    opts);
     ASSERT_TRUE(server_->Start().ok());
@@ -266,6 +269,81 @@ TEST_F(ServerTest, PipelinedBatchApi) {
   EXPECT_GE(ServerCounter("sealdb_server_write_groups_total"), 1u);
   EXPECT_EQ(ServerCounter("sealdb_server_batched_writes_total"),
             static_cast<uint64_t>(kOps));
+}
+
+// One pipelined window of 16 GETs and 16 PUTs on a one-worker server:
+// every response is matched to its request by id, and the worker's
+// per-group wake lets the loop answer the window in fewer sends than
+// responses. With max_batch_requests = 1 every request is its own group.
+TEST_F(ServerTest, PipelinedWindowBatchesSocketWrites) {
+  for (const size_t max_batch : {size_t{256}, size_t{1}}) {
+    SCOPED_TRACE("max_batch_requests=" + std::to_string(max_batch));
+    server::ServerOptions opts;
+    opts.num_workers = 1;
+    opts.max_batch_requests = max_batch;
+    StartServer(/*fault_injection=*/false, opts);
+    net::SealClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    constexpr int kPairs = 16;
+    for (int i = 0; i < kPairs; i++) {
+      ASSERT_TRUE(client.Put(Key(0, i), Value(0, i)).ok());
+    }
+
+    const uint64_t writes0 =
+        ServerCounter("sealdb_server_socket_writes_total");
+    const uint64_t requests0 = ServerCounter("sealdb_server_requests_total");
+    const uint64_t idle0 = ServerCounter("sealdb_server_idle_wakeups_total");
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < kPairs; i++) {
+      ids.push_back(client.QueueGet(Key(0, i)));
+      ids.push_back(client.QueuePut(Key(1, i), Value(1, i)));
+    }
+    std::vector<net::SealClient::Result> results;
+    ASSERT_TRUE(client.Flush(&results).ok());
+    ASSERT_EQ(results.size(), ids.size());
+    for (int i = 0; i < kPairs; i++) {
+      const auto& get = results[2 * i];
+      const auto& put = results[2 * i + 1];
+      EXPECT_EQ(get.request_id, ids[2 * i]);
+      EXPECT_EQ(get.opcode, static_cast<uint8_t>(net::Op::kGet));
+      EXPECT_TRUE(get.status.ok()) << get.status.ToString();
+      EXPECT_EQ(get.value, Value(0, i));
+      EXPECT_EQ(put.request_id, ids[2 * i + 1]);
+      EXPECT_EQ(put.opcode, static_cast<uint8_t>(net::Op::kPut));
+      EXPECT_TRUE(put.status.ok()) << put.status.ToString();
+    }
+    // Each request got exactly one response (all were matched above).
+    const uint64_t responses =
+        ServerCounter("sealdb_server_requests_total") - requests0;
+    const uint64_t writes =
+        ServerCounter("sealdb_server_socket_writes_total") - writes0;
+    const uint64_t idle =
+        ServerCounter("sealdb_server_idle_wakeups_total") - idle0;
+    EXPECT_EQ(responses, static_cast<uint64_t>(2 * kPairs));
+    if (max_batch > 1) {
+      // A handful of groups, one send each, so well below one send per
+      // response (what a wake per response costs).
+      EXPECT_LE(writes, responses / 4);
+    }
+    // The cost of grouping: each token whose request another group already
+    // ran wakes the worker into an empty queue once. That is at most one
+    // idle wake-up per request (a write leader's re-release only replaces
+    // a token dropped at its leader-locked queue).
+    EXPECT_LE(idle, responses);
+
+    std::string value;
+    for (int i = 0; i < kPairs; i++) {
+      ASSERT_TRUE(client.Get(Key(1, i), &value).ok());
+      EXPECT_EQ(value, Value(1, i));
+    }
+    std::string stats;
+    ASSERT_TRUE(client.Stats(&stats).ok());
+    EXPECT_NE(stats.find("responses per socket write"), std::string::npos);
+    client.Close();
+    TearDown();
+    server_.reset();
+    stack_.reset();
+  }
 }
 
 TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
@@ -546,6 +624,176 @@ TEST_F(ServerTest, ApproximateMemoryUsageIncludesConnectionBuffers) {
   const uint64_t after = std::stoull(after_str);
   EXPECT_GE(after, before + kChunk);
   net::CloseFd(fd);
+}
+
+// ---------------------------------------------------------------------------
+// SealClient's buffered frame reader against a scripted raw peer.
+
+namespace {
+
+// A loopback peer that accepts connections on an ephemeral port and runs
+// `script(fd, index)` on each accepted socket, one after another.
+class RawPeer {
+ public:
+  using Script = std::function<void(int fd, int index)>;
+
+  explicit RawPeer(Script script) {
+    EXPECT_TRUE(net::ListenTcp("127.0.0.1", 0, 8, &listen_fd_, &port_).ok());
+    thread_ = std::thread([this, script = std::move(script)] {
+      for (int i = 0;; i++) {
+        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (fd < 0) return;  // the destructor shut the listener down
+        (void)net::SetNoDelay(fd);
+        script(fd, i);
+        net::CloseFd(fd);
+      }
+    });
+  }
+
+  ~RawPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    thread_.join();
+    net::CloseFd(listen_fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+// Read one request frame from `fd`; returns false on EOF or a bad frame.
+bool ReadRequest(int fd, net::FrameHeader* header, std::string* payload) {
+  std::string frame(net::kFrameHeaderBytes, '\0');
+  if (!net::ReadFully(fd, frame.data(), frame.size()).ok()) return false;
+  const uint32_t len = DecodeFixed32(frame.data() + net::kPayloadLenOffset);
+  frame.resize(net::kFrameHeaderBytes + len);
+  if (len > 0 &&
+      !net::ReadFully(fd, frame.data() + net::kFrameHeaderBytes, len).ok()) {
+    return false;
+  }
+  Slice input(frame);
+  Slice body;
+  if (net::DecodeFrame(&input, header, &body) != net::DecodeResult::kOk) {
+    return false;
+  }
+  payload->assign(body.data(), body.size());
+  return true;
+}
+
+// Append a successful GET response for `request` carrying `value`.
+void AppendGetResponse(std::string* out, const net::FrameHeader& request,
+                       const std::string& value) {
+  std::string payload;
+  net::EncodeGetResponse(&payload, Status::OK(), value);
+  net::EncodeFrame(out, request.opcode | net::kResponseBit,
+                   request.request_id, payload, request.trace_id);
+}
+
+// Block until the client closes its end.
+void AwaitPeerClose(int fd) {
+  char byte;
+  while (::recv(fd, &byte, 1, 0) > 0) {
+  }
+}
+
+}  // namespace
+
+TEST(SealClientReader, TwoFramesCoalescedInOneSegment) {
+  RawPeer peer([](int fd, int) {
+    net::FrameHeader a, b;
+    std::string pa, pb;
+    if (!ReadRequest(fd, &a, &pa) || !ReadRequest(fd, &b, &pb)) return;
+    std::string out;
+    AppendGetResponse(&out, a, "value-a");
+    AppendGetResponse(&out, b, "value-b");
+    (void)::send(fd, out.data(), out.size(), MSG_NOSIGNAL);  // one segment
+    AwaitPeerClose(fd);
+  });
+  net::SealClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", peer.port(), 5000).ok());
+  const uint64_t id_a = client.QueueGet("a");
+  const uint64_t id_b = client.QueueGet("b");
+  std::vector<net::SealClient::Result> results;
+  ASSERT_TRUE(client.Flush(&results).ok());
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].request_id, id_a);
+  EXPECT_EQ(results[0].value, "value-a");
+  EXPECT_EQ(results[1].request_id, id_b);
+  EXPECT_EQ(results[1].value, "value-b");
+}
+
+TEST(SealClientReader, FrameDeliveredOneByteAtATime) {
+  RawPeer peer([](int fd, int) {
+    net::FrameHeader req;
+    std::string payload;
+    if (!ReadRequest(fd, &req, &payload)) return;
+    std::string out;
+    AppendGetResponse(&out, req, "trickled-value");
+    for (char c : out) {
+      if (::send(fd, &c, 1, MSG_NOSIGNAL) != 1) return;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    AwaitPeerClose(fd);
+  });
+  net::SealClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", peer.port(), 5000).ok());
+  std::string value;
+  ASSERT_TRUE(client.Get("k", &value).ok());
+  EXPECT_EQ(value, "trickled-value");
+}
+
+TEST(SealClientReader, CorruptCrcInBufferedFrameIsCorruption) {
+  RawPeer peer([](int fd, int) {
+    net::FrameHeader a, b;
+    std::string pa, pb;
+    if (!ReadRequest(fd, &a, &pa) || !ReadRequest(fd, &b, &pb)) return;
+    std::string out;
+    AppendGetResponse(&out, a, "good");
+    AppendGetResponse(&out, b, "flipped");
+    out[out.size() - 1] ^= 0x20;  // second frame's payload, behind the first
+    (void)::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
+    AwaitPeerClose(fd);
+  });
+  net::SealClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", peer.port(), 5000).ok());
+  client.QueueGet("a");
+  client.QueueGet("b");
+  std::vector<net::SealClient::Result> results;
+  EXPECT_TRUE(client.Flush(&results).IsCorruption());
+}
+
+// The first attempt times out holding half of a reply in the receive
+// buffer. The retry reconnects and must read only the new socket's answer:
+// leftover bytes spliced in front of it would decode as a corrupt frame.
+TEST(SealClientReader, TimedOutReplyIsDiscardedOnReconnect) {
+  RawPeer peer([](int fd, int index) {
+    net::FrameHeader req;
+    std::string payload;
+    if (!ReadRequest(fd, &req, &payload)) return;
+    std::string out;
+    AppendGetResponse(&out, req, index == 0 ? "stale-late-reply" : "fresh");
+    if (index == 0) out.resize(out.size() - 4);  // the rest never comes
+    (void)::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
+    AwaitPeerClose(fd);
+  });
+  net::SealClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", peer.port(),
+                             /*recv_timeout_millis=*/200)
+                  .ok());
+  net::RetryPolicy retry;
+  retry.enabled = true;
+  retry.max_attempts = 2;
+  retry.base_backoff_millis = 1;
+  retry.deadline_millis = 10000;
+  client.set_retry_policy(retry);
+  std::string value;
+  ASSERT_TRUE(client.Get("k", &value).ok());
+  EXPECT_EQ(value, "fresh");
+  EXPECT_EQ(client.stats().timeouts, 1u);
+  EXPECT_EQ(client.stats().reconnects, 1u);
 }
 
 }  // namespace sealdb
