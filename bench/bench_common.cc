@@ -24,11 +24,6 @@ uint64_t Flags::GetInt(const std::string& name, uint64_t def) const {
   return it == values_.end() ? def : strtoull(it->second.c_str(), nullptr, 10);
 }
 
-double Flags::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : strtod(it->second.c_str(), nullptr);
-}
-
 std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
   auto it = values_.find(name);
@@ -88,80 +83,6 @@ std::string MakeValue(uint64_t seed, uint64_t value_bytes) {
   }
   while (v.size() < value_bytes) v.push_back('v');
   return v;
-}
-
-LoadResult LoadDatabase(baselines::Stack* stack, uint64_t entries,
-                        const BenchParams& params, bool random_order,
-                        uint32_t seed) {
-  LoadResult result;
-  DB* db = stack->db();
-  Random rnd(seed);
-  const double device_before = DeviceBusySeconds(stack);
-  WriteOptions wo;
-  for (uint64_t i = 0; i < entries; i++) {
-    const uint64_t id = random_order ? rnd.Next64() % entries : i;
-    const std::string key = MakeKey(id, params.key_bytes);
-    const std::string value = MakeValue(i, params.value_bytes());
-    Status s = db->Put(wo, key, value);
-    if (!s.ok()) {
-      std::fprintf(stderr, "load failed at %llu: %s\n",
-                   static_cast<unsigned long long>(i), s.ToString().c_str());
-      break;
-    }
-    result.entries++;
-    result.user_bytes += key.size() + value.size();
-  }
-  db->WaitForIdle();
-  result.device_seconds = DeviceBusySeconds(stack) - device_before;
-  if (result.device_seconds > 0) {
-    result.ops_per_second = result.entries / result.device_seconds;
-    result.mb_per_second =
-        result.user_bytes / 1048576.0 / result.device_seconds;
-  }
-  return result;
-}
-
-ReadResult RandomRead(baselines::Stack* stack, uint64_t entries, uint64_t ops,
-                      const BenchParams& params, uint32_t seed) {
-  ReadResult result;
-  DB* db = stack->db();
-  Random rnd(seed);
-  ReadOptions ro;
-  std::string value;
-  const double device_before = DeviceBusySeconds(stack);
-  for (uint64_t i = 0; i < ops; i++) {
-    const std::string key = MakeKey(rnd.Next64() % entries, params.key_bytes);
-    Status s = db->Get(ro, key, &value);
-    if (s.IsNotFound()) result.not_found++;
-    result.ops++;
-  }
-  result.device_seconds = DeviceBusySeconds(stack) - device_before;
-  if (result.device_seconds > 0) {
-    result.ops_per_second = result.ops / result.device_seconds;
-  }
-  return result;
-}
-
-ReadResult SequentialRead(baselines::Stack* stack, uint64_t entries,
-                          uint64_t ops, const BenchParams& params) {
-  ReadResult result;
-  DB* db = stack->db();
-  (void)entries;
-  (void)params;
-  ReadOptions ro;
-  const double device_before = DeviceBusySeconds(stack);
-  std::unique_ptr<Iterator> iter(db->NewIterator(ro));
-  iter->SeekToFirst();
-  std::string value;
-  for (uint64_t i = 0; i < ops && iter->Valid(); i++, iter->Next()) {
-    value.assign(iter->value().data(), iter->value().size());
-    result.ops++;
-  }
-  result.device_seconds = DeviceBusySeconds(stack) - device_before;
-  if (result.device_seconds > 0) {
-    result.ops_per_second = result.ops / result.device_seconds;
-  }
-  return result;
 }
 
 void PrintHeader(const std::string& title) {

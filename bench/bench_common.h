@@ -1,5 +1,5 @@
-// Shared machinery for the paper-reproduction benches: flag parsing, a
-// scale-aware default configuration, workload loaders and row printers.
+// Shared machinery for the benches: flag parsing, a scale-aware default
+// configuration, key/value makers and row printers.
 //
 // All benches run at a reduced scale by default (the simulated drive keeps
 // access-pattern economics intact; only CPU-bound merge work forces the
@@ -27,7 +27,6 @@ class Flags {
   Flags(int argc, char** argv);
 
   uint64_t GetInt(const std::string& name, uint64_t def) const;
-  double GetDouble(const std::string& name, double def) const;
   std::string GetString(const std::string& name,
                         const std::string& def) const;
   bool GetBool(const std::string& name, bool def) const;
@@ -68,34 +67,6 @@ std::string MakeValue(uint64_t seed, uint64_t value_bytes);
 inline double DeviceBusySeconds(baselines::Stack* stack) {
   return stack->drive()->metrics().busy->Seconds();
 }
-
-struct LoadResult {
-  uint64_t entries = 0;
-  uint64_t user_bytes = 0;
-  double device_seconds = 0.0;
-  double ops_per_second = 0.0;
-  double mb_per_second = 0.0;
-};
-
-// Load `entries` records in sequential or uniformly random key order.
-LoadResult LoadDatabase(baselines::Stack* stack, uint64_t entries,
-                        const BenchParams& params, bool random_order,
-                        uint32_t seed = 301);
-
-struct ReadResult {
-  uint64_t ops = 0;
-  uint64_t not_found = 0;
-  double device_seconds = 0.0;
-  double ops_per_second = 0.0;
-};
-
-// Point-read `ops` random keys out of `entries` loaded ones.
-ReadResult RandomRead(baselines::Stack* stack, uint64_t entries, uint64_t ops,
-                      const BenchParams& params, uint32_t seed = 401);
-
-// Sequentially scan `ops` entries starting at random positions.
-ReadResult SequentialRead(baselines::Stack* stack, uint64_t entries,
-                          uint64_t ops, const BenchParams& params);
 
 // ------------------------------ reporting ------------------------------
 

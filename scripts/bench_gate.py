@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bench-regression gate for BENCH_smoke.json.
+"""Bench-regression gate for BENCH_smoke.json and BENCH_paper.json.
 
 Compares a fresh bench run against a committed baseline in three
 currencies and fails when any configuration regresses by more than that
@@ -21,10 +21,18 @@ judged on its best run in each currency, so a regression only fails the
 gate when it reproduces in every run — scheduling noise in the
 parallel-compaction config does not.
 
+With --paper the gate reads bench_paper's JSON instead: every
+EXPERIMENTS.md claim must hold its shape ("holds": true), and every
+measured value must stay within 2% (PAPER_TOLERANCE) of
+bench/baseline_paper.json. bench_paper is deterministic, so any drift is a
+behaviour change: refresh the baseline (and EXPERIMENTS.md) with it.
+
 Usage:
   scripts/bench_gate.py CURRENT.json [MORE.json ...]
                         [--baseline bench/baseline_smoke.json]
                         [--threshold 0.15] [--wall-threshold 0.35]
+  scripts/bench_gate.py --paper BENCH_paper.json
+                        [--baseline bench/baseline_paper.json]
   scripts/bench_gate.py --selftest
 
 Exit status: 0 = within thresholds, 1 = regression, 2 = usage/IO error.
@@ -33,6 +41,10 @@ Exit status: 0 = within thresholds, 1 = regression, 2 = usage/IO error.
 import argparse
 import json
 import sys
+
+# Max relative drift of a bench_paper measured value from its baseline
+# (absolute for a zero baseline).
+PAPER_TOLERANCE = 0.02
 
 
 def sustained_device_ops(config):
@@ -119,6 +131,62 @@ def gate(baseline, currents, threshold, wall_threshold=None,
     return ok, lines
 
 
+def paper_gate(baseline, current):
+    """Returns (ok, report_lines) for a bench_paper document: a claim whose
+    shape does not hold fails, and so does a measured value more than
+    PAPER_TOLERANCE (relative) from the baseline's, a claim missing on either
+    side, or a run at different parameters. A zero baseline allows an
+    absolute drift of PAPER_TOLERANCE."""
+    lines = []
+    ok = True
+    if baseline.get("params") != current.get("params"):
+        return False, [f"FAIL params {current.get('params')} differ from "
+                       f"baseline {baseline.get('params')}"]
+    def key(c):
+        return f"{c['figure']}: {c['claim']}"
+    base = {key(c): c for c in baseline.get("claims", [])}
+    cur = {key(c): c for c in current.get("claims", [])}
+    if not base:
+        return False, ["FAIL baseline has no claims"]
+    for k in sorted(set(base) | set(cur)):
+        if k not in cur:
+            lines.append(f"FAIL {k}: missing from current run")
+            ok = False
+            continue
+        if k not in base:
+            lines.append(f"FAIL {k}: not in the baseline")
+            ok = False
+            continue
+        c, b = cur[k], base[k]
+        if not c["holds"]:
+            lines.append(f"FAIL {k}: shape broken ({c['shape']}; "
+                         f"measured {c['measured']:g})")
+            ok = False
+            continue
+        m, bm = c["measured"], b["measured"]
+        limit = PAPER_TOLERANCE * (abs(bm) if bm != 0 else 1.0)
+        if abs(m - bm) > limit:
+            lines.append(f"FAIL {k}: {m:g} vs baseline {bm:g} "
+                         f"(drift beyond {PAPER_TOLERANCE:.0%})")
+            ok = False
+        else:
+            lines.append(f"ok   {k}: {m:g} ({c['shape']})")
+    return ok, lines
+
+
+def synthetic_paper(measured=4.0, holds=True):
+    """A minimal bench_paper document with two claims; the first one's
+    measured value and shape verdict are the parameters."""
+    return {"params": {"mb": 48, "scale": 16, "read_ops": 20000},
+            "claims": [
+                {"figure": "Fig. 12", "claim": "MWA reduction",
+                 "paper": "6.70x", "measured": measured,
+                 "shape": "at least 5", "holds": holds},
+                {"figure": "Fig. 14", "claim": "sequential-write share",
+                 "paper": "~0", "measured": 0.0, "shape": "exactly 0",
+                 "holds": True}]}
+
+
 def synthetic(scale, wall_scale=None, read_scale=None):
     """A minimal bench document whose device ops/s is 1000*scale, wall
     ops/s 1000*wall_scale, and read-phase device ops/s 1000*read_scale
@@ -182,6 +250,29 @@ def selftest():
     assert ok, "regression not reproduced across runs must pass"
     ok, _ = gate(base, [synthetic(0.80), synthetic(0.79)], 0.15, 0.35)
     assert not ok, "regression reproduced in every run must fail"
+    # Paper claims: a broken shape fails even at the baseline's value, a
+    # ratio drifted past the tolerance fails even with its shape intact.
+    paper = synthetic_paper()
+    ok, _ = paper_gate(paper, synthetic_paper())
+    assert ok, "identical paper run must pass"
+    ok, _ = paper_gate(paper, synthetic_paper(holds=False))
+    assert not ok, "broken shape must fail"
+    ok, _ = paper_gate(paper, synthetic_paper(measured=4.0 * 1.03))
+    assert not ok, "3% drift must fail the 2% paper tolerance"
+    ok, _ = paper_gate(paper, synthetic_paper(measured=4.0 * 0.99))
+    assert ok, "1% drift must pass the 2% paper tolerance"
+    dropped = synthetic_paper()
+    dropped["claims"].pop()
+    ok, _ = paper_gate(paper, dropped)
+    assert not ok, "dropped claim must fail"
+    moved = synthetic_paper()
+    moved["claims"][1]["measured"] = 0.5
+    ok, _ = paper_gate(paper, moved)
+    assert not ok, "drift from a zero baseline must fail"
+    other = synthetic_paper()
+    other["params"]["mb"] = 128
+    ok, _ = paper_gate(paper, other)
+    assert not ok, "run at other parameters must fail"
     print("bench_gate selftest: ok")
     return 0
 
@@ -190,7 +281,9 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", nargs="*",
                         help="fresh BENCH_smoke.json (repeat for best-of-N)")
-    parser.add_argument("--baseline", default="bench/baseline_smoke.json")
+    parser.add_argument("--baseline", default=None,
+                        help="default bench/baseline_smoke.json, or "
+                             "bench/baseline_paper.json with --paper")
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="max allowed fractional device-currency "
                              "regression (0.15 = 15%%)")
@@ -200,6 +293,9 @@ def main(argv):
     parser.add_argument("--read-threshold", type=float, default=0.15,
                         help="max allowed fractional regression in "
                              "read-phase device ops/s (buffer-pool path)")
+    parser.add_argument("--paper", action="store_true",
+                        help="gate a bench_paper JSON: claim shapes and "
+                             "drift from the paper baseline")
     parser.add_argument("--selftest", action="store_true",
                         help="verify the gate fails synthetic regressions "
                              "in both currencies")
@@ -209,6 +305,9 @@ def main(argv):
         return selftest()
     if not args.current:
         parser.error("CURRENT.json is required unless --selftest")
+    if args.baseline is None:
+        args.baseline = ("bench/baseline_paper.json" if args.paper
+                         else "bench/baseline_smoke.json")
 
     try:
         with open(args.baseline) as f:
@@ -220,6 +319,18 @@ def main(argv):
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_gate: {e}", file=sys.stderr)
         return 2
+
+    if args.paper:
+        if len(currents) != 1:
+            parser.error("--paper takes exactly one CURRENT.json")
+        ok, lines = paper_gate(baseline, currents[0])
+        for line in lines:
+            print(line)
+        if not ok:
+            print("bench_gate: paper claim broken or drifted (refresh "
+                  "bench/baseline_paper.json and EXPERIMENTS.md only with "
+                  "a justified behaviour change)", file=sys.stderr)
+        return 0 if ok else 1
 
     ok, lines = gate(baseline, currents, args.threshold, args.wall_threshold,
                      args.read_threshold)

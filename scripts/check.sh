@@ -22,7 +22,9 @@
 #                     vacuous green run across all three configs.
 #   --bench           after the default-config suite, run bench_smoke and
 #                     gate its device-currency throughput against
-#                     bench/baseline_smoke.json (scripts/bench_gate.py).
+#                     bench/baseline_smoke.json, then run bench_paper and
+#                     gate every paper claim against
+#                     bench/baseline_paper.json (scripts/bench_gate.py).
 #   --crash-sweep     after the default-config suite, run the bounded
 #                     sharded crash-point sweep (deterministic workload,
 #                     fixed seeds baked into the tests; every recovered
@@ -121,6 +123,8 @@ if [ "$BENCH" = 1 ]; then
   # Refresh the committed snapshot at the repo root so the numbers people
   # read in review always come from the gated run they are looking at.
   cp build/BENCH_smoke.json BENCH_smoke.json
+  (cd build && ./bench/bench_paper --out=BENCH_paper.json)
+  python3 scripts/bench_gate.py --paper build/BENCH_paper.json
 fi
 
 echo

@@ -104,9 +104,6 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
     case SystemKind::kSMRDB:
       opt.num_levels = 2;
       opt.allow_overlap_last_level = true;
-      // Merge eagerly: SMRDB pays for its two-level design with large,
-      // frequent whole-range merges (paper Fig. 10: ~900 MB on average).
-      opt.max_overlap_runs = 2;
       // SMRDB enlarges SSTables to the band size (40 MB at full scale),
       // with headroom so a finished table (builders overshoot by a block
       // or two) still fits one band exactly.
@@ -115,7 +112,6 @@ Options MakeOptions(const StackConfig& config, const FilterPolicy* filter,
       break;
     case SystemKind::kSEALDB:
       opt.compaction_unit = CompactionUnit::kSet;
-      opt.prioritize_invalid_sets = true;
       break;
   }
   return opt;

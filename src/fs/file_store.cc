@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <cstring>
-#include <thread>
 
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -211,30 +209,21 @@ class StoreSequentialFile final : public SequentialFile {
 
 // Double-buffered streaming reader for front-to-back scans. The file is
 // divided into a grid of `window_`-byte chunks; two slots (chunk k in slot
-// k % 2) hold the current chunk and its successor. When a read touches
-// chunk k, chunk k+1 is handed to a per-handle prefetch thread, so by the
-// time the scan crosses the boundary the next chunk's device read has
-// already happened (or is in flight) while the caller decoded the previous
-// one. Random access still works — any miss falls back to a synchronous
-// chunk fetch — it just wastes the prefetch.
+// k % 2) hold the current chunk and its successor. When a read first
+// touches chunk k, chunk k+1 is fetched right after it, so a front-to-back
+// scan issues one large device read per chunk, in file order, one chunk
+// early: the drive sees chunk k+1's request before the merge writes the
+// outputs built from chunk k. A read error on the fetched-ahead chunk is
+// kept in its slot and returned only when that chunk is used. Random access
+// still works: any miss falls back to a synchronous chunk fetch.
 //
-// Locking: m_ guards the slot/prefetch state. The worker never holds the
-// store mutex while acquiring m_ (it reads via FileStore::ReadFileRange,
-// which scopes the store mutex internally), so a consumer holding m_ may
-// safely enter the store.
+// Every fetch happens on the caller's thread, so the drive sees the same
+// request order on every run.
 class StoreReadaheadFile final : public RandomAccessFile {
  public:
   StoreReadaheadFile(FileStore* store, std::string name, uint64_t window,
                      uint64_t size)
       : store_(store), name_(std::move(name)), window_(window), size_(size) {}
-
-  ~StoreReadaheadFile() override {
-    std::unique_lock<std::mutex> l(m_);
-    shutdown_ = true;
-    work_cv_.notify_all();
-    l.unlock();
-    if (worker_.joinable()) worker_.join();
-  }
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
@@ -246,21 +235,19 @@ class StoreReadaheadFile final : public RandomAccessFile {
     const uint64_t first = offset / window_;
     const uint64_t last = (offset + n - 1) / window_;
 
-    std::unique_lock<std::mutex> l(m_);
+    std::lock_guard<std::mutex> l(m_);
     uint64_t copied = 0;
     for (uint64_t k = first; k <= last; k++) {
-      Status s = EnsureChunk(k, l);
-      if (!s.ok()) return s;
-      const Slot& slot = slots_[k % 2];
+      const Slot& slot = EnsureChunk(k);
+      if (!slot.status.ok()) return slot.status;
       const uint64_t begin = std::max(offset, k * window_);
       const uint64_t end = std::min<uint64_t>(offset + n, (k + 1) * window_);
       std::memcpy(scratch + copied, slot.data.data() + (begin - k * window_),
                   end - begin);
       copied += end - begin;
     }
-    // Keep the pipeline full: start fetching the successor chunk while the
-    // caller decodes what it just read.
-    SchedulePrefetch(last + 1, l);
+    // Keep one chunk ahead of the caller.
+    if ((last + 1) * window_ < size_) EnsureChunk(last + 1);
     *result = Slice(scratch, copied);
     return Status::OK();
   }
@@ -272,70 +259,17 @@ class StoreReadaheadFile final : public RandomAccessFile {
     std::string data;
   };
 
-  uint64_t ChunkLen(uint64_t k) const {
-    const uint64_t begin = k * window_;
+  // Make chunk k resident in slot k % 2, fetching it on a miss. Requires m_.
+  const Slot& EnsureChunk(uint64_t k) const {
+    Slot& slot = slots_[k % 2];
+    if (slot.index == k) return slot;
     const uint64_t block = store_->drive()->geometry().block_bytes;
-    return std::min(window_, RoundUp(size_, block) - begin);
-  }
-
-  bool ChunkInFile(uint64_t k) const { return k * window_ < size_; }
-
-  // Make chunk k resident in slot k % 2 (waiting out an in-flight prefetch
-  // of the same chunk, or fetching synchronously on a miss).
-  Status EnsureChunk(uint64_t k, std::unique_lock<std::mutex>& l) const {
-    while (true) {
-      Slot& slot = slots_[k % 2];
-      if (slot.index == k) return slot.status;
-      if (pending_active_ && pending_index_ == k) {
-        done_cv_.wait(l);
-        continue;
-      }
-      // Miss: fetch synchronously. Holding m_ here only stalls the worker's
-      // publish step, never the store.
-      const uint64_t len = ChunkLen(k);
-      slot.index = k;
-      slot.data.resize(len);
-      slot.status =
-          store_->ReadFileRange(name_, k * window_, len, slot.data.data());
-      return slot.status;
-    }
-  }
-
-  void SchedulePrefetch(uint64_t k, std::unique_lock<std::mutex>& l) const {
-    (void)l;  // documents that m_ is held
-    if (!ChunkInFile(k)) return;
-    if (slots_[k % 2].index == k) return;
-    if (pending_active_) return;  // one prefetch in flight at a time
-    pending_index_ = k;
-    pending_active_ = true;
-    if (!worker_.joinable()) {
-      worker_ = std::thread(&StoreReadaheadFile::WorkerMain,
-                            const_cast<StoreReadaheadFile*>(this));
-    }
-    work_cv_.notify_all();
-  }
-
-  void WorkerMain() {
-    std::unique_lock<std::mutex> l(m_);
-    while (!shutdown_) {
-      if (!pending_active_) {
-        work_cv_.wait(l);
-        continue;
-      }
-      const uint64_t k = pending_index_;
-      const uint64_t len = ChunkLen(k);
-      std::string buf;
-      buf.resize(len);
-      l.unlock();
-      Status s = store_->ReadFileRange(name_, k * window_, len, buf.data());
-      l.lock();
-      Slot& slot = slots_[k % 2];
-      slot.index = k;
-      slot.status = s;
-      slot.data.swap(buf);
-      pending_active_ = false;
-      done_cv_.notify_all();
-    }
+    const uint64_t len = std::min(window_, RoundUp(size_, block) - k * window_);
+    slot.index = k;
+    slot.data.resize(len);
+    slot.status =
+        store_->ReadFileRange(name_, k * window_, len, slot.data.data());
+    return slot;
   }
 
   FileStore* const store_;
@@ -343,14 +277,8 @@ class StoreReadaheadFile final : public RandomAccessFile {
   const uint64_t window_;  // block-aligned chunk size
   const uint64_t size_;    // logical file size (immutable once opened)
 
-  mutable std::mutex m_;
-  mutable std::condition_variable work_cv_;  // worker: a prefetch is queued
-  mutable std::condition_variable done_cv_;  // consumer: a prefetch landed
+  mutable std::mutex m_;  // guards slots_
   mutable Slot slots_[2];
-  mutable uint64_t pending_index_ = 0;
-  mutable bool pending_active_ = false;
-  mutable bool shutdown_ = false;
-  mutable std::thread worker_;
 };
 
 // ---------------------------------------------------------------------

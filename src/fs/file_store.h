@@ -133,9 +133,10 @@ class FileStore {
   Status NewRandomAccessFile(const std::string& name,
                              std::unique_ptr<RandomAccessFile>* result);
   // Streaming reader for front-to-back scans (set-granularity compaction
-  // inputs): fetches `window`-byte chunks and prefetches the next chunk on
-  // a dedicated thread while the caller consumes the previous one, so
-  // decode/merge overlaps the next chunk's device read.
+  // inputs): fetches `window`-byte chunks, and fetches the next chunk right
+  // after the one a read first touches, so a scan issues one large device
+  // read per chunk in file order. A read error on the chunk fetched ahead
+  // is returned when that chunk is read, not before.
   Status NewReadaheadFile(const std::string& name, uint64_t window,
                           std::unique_ptr<RandomAccessFile>* result);
   Status NewSequentialFile(const std::string& name,
@@ -205,8 +206,8 @@ class FileStore {
   // Which checkpoint slot holds the newest state (testing/inspection).
   int active_checkpoint_slot() const { return active_slot_; }
 
-  // One locked read of [offset, offset+n) from a live file (readahead
-  // worker entry point; offset/n must be device-block aligned within the
+  // One locked read of [offset, offset+n) from a live file (the readahead
+  // reader's chunk fetch; offset/n must be device-block aligned within the
   // block-rounded file size).
   Status ReadFileRange(const std::string& name, uint64_t offset, uint64_t n,
                        char* scratch);

@@ -19,6 +19,16 @@ namespace sealdb {
 // Push a fresh memtable output past empty low levels, up to this level.
 static const int kMaxMemCompactLevel = 2;
 
+// Overlapping last level (SMRDB): schedule an intra-level merge once this
+// many runs mutually overlap. Merging this eagerly gives SMRDB the large,
+// frequent whole-range merges the paper measures (Fig. 10).
+static const int kMaxOverlapRuns = 2;
+
+// Set-aware picking: a set needs this many invalidated members before its
+// victim jumps the fair rotation. Lower values re-compact the same range
+// too often and inflate write amplification.
+static const int kInvalidSetPriorityThreshold = 5;
+
 static size_t TargetFileSize(const Options* options) {
   return options->max_file_size;
 }
@@ -1075,7 +1085,7 @@ void VersionSet::Finalize(Version* v) {
   if (options_->allow_overlap_last_level && NumLevels() >= 2) {
     const int last = NumLevels() - 1;
     const double score = static_cast<double>(v->MaxOverlapDepth(last)) /
-                         options_->max_overlap_runs;
+                         kMaxOverlapRuns;
     if (score > best_score) {
       best_level = last;
       best_score = score;
@@ -1404,7 +1414,7 @@ Compaction* VersionSet::PickCompaction(const CompactionReservations* reserved) {
       // Overlapping last level (SMRDB): merge the deepest overlap cluster.
       PickOverlapCluster(level, c);
     } else if (level > 0 && options_->compaction_unit == CompactionUnit::kSet &&
-               options_->prioritize_invalid_sets && set_info_ != nullptr) {
+               set_info_ != nullptr) {
       // SEALDB policy (Sec. III-C "Delete"): prefer a victim whose set has
       // accumulated many invalidated SSTables, so the remaining members
       // drain and the whole region is reclaimed — implicit fragment
@@ -1412,7 +1422,7 @@ Compaction* VersionSet::PickCompaction(const CompactionReservations* reserved) {
       // normal rotation on barely-fragmented sets, which would inflate WA
       // by hammering the same key range.
       FileMetaData* best = nullptr;
-      int best_invalid = options_->invalid_set_priority_threshold - 1;
+      int best_invalid = kInvalidSetPriorityThreshold - 1;
       for (FileMetaData* f : current_->files_[level]) {
         if (VictimReserved(reserved, level, f)) continue;
         const int invalid =

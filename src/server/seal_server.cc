@@ -52,7 +52,11 @@ struct Connection {
   std::string rbuf;
   bool reading = true;       // EPOLLIN registered
   bool want_write = false;   // EPOLLOUT registered
-  bool peer_closed = false;  // read() saw EOF (or a write failed)
+  bool peer_closed = false;  // EOF, hang-up, or a failed write
+  // The fd is registered with epoll. A hung-up peer is taken out at once:
+  // EPOLLHUP is reported whatever the interest mask, so a registered fd
+  // would wake the loop on every epoll_wait until its requests finish.
+  bool watched = true;
 
   // ---- shared state (guarded by mu unless atomic) ----
   std::mutex mu;
@@ -171,6 +175,9 @@ struct SealServer::Impl {
     c_socket_writes_ = r.RegisterCounter(
         "sealdb_server_socket_writes_total",
         "send() calls that moved response bytes");
+    c_loop_wakeups_ = r.RegisterCounter(
+        "sealdb_server_loop_wakeups_total",
+        "epoll_wait returns of the event loop");
     c_idle_wakeups_ = r.RegisterCounter(
         "sealdb_server_idle_wakeups_total",
         "Worker wake-ups that found no runnable request (surplus tokens)");
@@ -362,6 +369,7 @@ struct SealServer::Impl {
   obs::Counter* c_evictions_;
   obs::Counter* c_dedup_replays_;
   obs::Counter* c_socket_writes_;
+  obs::Counter* c_loop_wakeups_;
   obs::Counter* c_idle_wakeups_;
   obs::FixedHistogram* h_queue_;
   obs::FixedHistogram* h_commit_;
@@ -431,6 +439,31 @@ struct SealServer::Impl {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
   }
 
+  // Re-register `conn`'s interest after `reading`/`want_write` changed.
+  void UpdateInterest(const ConnPtr& conn) {
+    if (!conn->watched) return;
+    EpollMod(conn->fd, (conn->reading ? EPOLLIN : 0u) |
+                           (conn->want_write ? EPOLLOUT : 0u));
+  }
+
+  void StopReading(const ConnPtr& conn) {
+    if (!conn->reading) return;
+    conn->reading = false;
+    UpdateInterest(conn);
+  }
+
+  // The peer hung up: nothing more arrives and nothing sent will be read.
+  // The connection closes from FlushPending once its last in-flight
+  // request is answered.
+  void Unwatch(const ConnPtr& conn) {
+    conn->peer_closed = true;
+    conn->reading = false;
+    conn->want_write = false;
+    if (!conn->watched) return;
+    conn->watched = false;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  }
+
   void Wake() {
     uint64_t one = 1;
     ssize_t n = ::write(wake_fd_, &one, sizeof(one));
@@ -453,6 +486,7 @@ struct SealServer::Impl {
         if (errno == EINTR) continue;
         break;
       }
+      c_loop_wakeups_->Inc();
 
       if (stopping_.load(std::memory_order_acquire) && !reads_disabled) {
         QuiesceReads();
@@ -473,7 +507,7 @@ struct SealServer::Impl {
           if (it == conns_.end()) continue;
           ConnPtr conn = it->second;
           if (ev & (EPOLLHUP | EPOLLERR)) {
-            conn->peer_closed = true;
+            Unwatch(conn);
             TryFlush(conn);
             MaybeClose(conn);
             continue;
@@ -546,10 +580,7 @@ struct SealServer::Impl {
     for (auto& [fd, conn] : conns_) snapshot.push_back(conn);
     for (auto& conn : snapshot) {
       ParseFrames(conn);
-      if (conn->reading) {
-        conn->reading = false;
-        EpollMod(conn->fd, conn->want_write ? EPOLLOUT : 0u);
-      }
+      StopReading(conn);
     }
     {
       std::lock_guard<std::mutex> l(sched_mu_);
@@ -615,6 +646,9 @@ struct SealServer::Impl {
       break;
     }
     ParseFrames(conn);
+    // An EOF stays readable: left in the interest set it would wake the
+    // loop on every epoll_wait while requests are still in flight.
+    if (conn->peer_closed) StopReading(conn);
   }
 
   // Dispatches every complete frame buffered on `conn`, then hands the
@@ -659,10 +693,7 @@ struct SealServer::Impl {
       conn->rbuf.erase(0, consumed);
       AdjustBuffered(-static_cast<int64_t>(consumed));
     }
-    if (fatal && conn->reading) {
-      conn->reading = false;
-      EpollMod(conn->fd, conn->want_write ? EPOLLOUT : 0u);
-    }
+    if (fatal) StopReading(conn);
     if (queued > 0) work_sem_.release(queued);
   }
 
@@ -684,10 +715,7 @@ struct SealServer::Impl {
                               Status::InvalidArgument("unknown opcode"));
       Respond(conn, net::kOpError | net::kResponseBit, header.request_id,
               payload_out, /*close_after=*/true);
-      if (conn->reading) {
-        conn->reading = false;
-        EpollMod(conn->fd, conn->want_write ? EPOLLOUT : 0u);
-      }
+      StopReading(conn);
       return false;
     }
 
@@ -884,10 +912,11 @@ struct SealServer::Impl {
         AdjustBuffered(-w);
         continue;
       }
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
+          conn->watched) {
         if (!conn->want_write) {
           conn->want_write = true;
-          EpollMod(conn->fd, (conn->reading ? EPOLLIN : 0u) | EPOLLOUT);
+          UpdateInterest(conn);
         }
         return;  // keep the unflushed suffix buffered
       }
@@ -902,7 +931,7 @@ struct SealServer::Impl {
     conn->woff = 0;
     if (conn->want_write) {
       conn->want_write = false;
-      EpollMod(conn->fd, conn->reading ? EPOLLIN : 0u);
+      UpdateInterest(conn);
     }
   }
 
@@ -939,7 +968,7 @@ struct SealServer::Impl {
       conn->wbuf.clear();
       conn->woff = 0;
     }
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+    Unwatch(conn);
     net::CloseFd(conn->fd);
     conns_.erase(conn->fd);
     g_conns_active_->Add(-1.0);

@@ -79,23 +79,10 @@ struct Options {
   // num_levels = 2 and 40 MB SSTables.
   bool allow_overlap_last_level = false;
 
-  // Overlapping-last-level mode only: schedule an intra-level merge when
-  // this many runs mutually overlap. Lower values merge more eagerly
-  // (bigger, more frequent compactions).
-  int max_overlap_runs = 4;
-
-  // SEALDB set-aware compaction (paper Sec. III-A).
+  // SEALDB set-aware compaction (paper Sec. III-A). With kSet, a level
+  // compaction prefers the victim whose set has the most invalidated
+  // members (Sec. III-C "Delete": implicit fragment reclamation).
   CompactionUnit compaction_unit = CompactionUnit::kSSTable;
-
-  // When picking a compaction at a level, prefer the victim whose set has
-  // the most invalidated victim SSTables recorded in it (paper Sec. III-C
-  // "Delete": implicit fragment reclamation). Only meaningful with kSet.
-  bool prioritize_invalid_sets = true;
-
-  // Minimum invalidated members before a set qualifies for priority
-  // compaction. Low values override the fair rotation too often and
-  // inflate write amplification by re-compacting the same range.
-  int invalid_set_priority_threshold = 5;
 
   // Run compactions inline on the writing thread (deterministic; used by
   // tests and benches) instead of a background thread.
@@ -121,23 +108,15 @@ struct Options {
   std::shared_ptr<obs::MetricsRegistry> metrics_registry;
 
   // -------- sharding --------
-  // Number of independent LSM shards the keyspace is hash-partitioned
-  // into. 1 (the default and every preset's seed-parity setting) runs the
-  // classic single engine; N > 1 builds N engines, each with its own
-  // memtable, WAL, version set, compaction scheduling, and drive region
-  // (see core/shard_layout.h and lsm/sharded_db.h). Must match the count
-  // the drive was formatted with on reopen.
-  int num_shards = 1;
-
   // Value of the `shard` label this engine instance stamps on its
   // sealdb_engine_* metric series. Empty (default) emits unlabeled series,
   // preserving the unsharded exposition; ShardedDb sets "0".."N-1".
   std::string metrics_shard_label;
 
   // Stream compaction inputs through a double-buffered readahead reader
-  // (large chunked extent reads with the next chunk prefetched during the
-  // merge) instead of per-block table reads. Off reproduces the seed's
-  // read pattern for A/B benches.
+  // (large chunked extent reads, one chunk ahead of the merge) instead of
+  // per-block table reads. Off reproduces the seed's read pattern for A/B
+  // benches.
   bool compaction_readahead = true;
 
   Options();
@@ -147,8 +126,8 @@ struct ReadOptions {
   bool verify_checksums = false;
   bool fill_cache = true;
   // Nonzero requests a dedicated streaming reader that fetches the file in
-  // chunks of this size and prefetches the next chunk while the previous
-  // one is consumed (set-granularity compaction input scans).
+  // chunks of this size, one chunk ahead of the reader (set-granularity
+  // compaction input scans).
   uint64_t readahead_bytes = 0;
   // If non-null, read as of the supplied snapshot.
   const Snapshot* snapshot = nullptr;

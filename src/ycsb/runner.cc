@@ -1,9 +1,7 @@
 #include "ycsb/runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -61,66 +59,20 @@ double Runner::DeviceBusySeconds() const {
   return stack_ != nullptr ? stack_->drive()->metrics().busy->Seconds() : 0.0;
 }
 
-Status Runner::Load(uint64_t record_count, RunResult* result, int threads) {
+Status Runner::Load(uint64_t record_count, RunResult* result) {
   *result = RunResult();
   result->workload = "Load";
-  // The remote client multiplexes one connection; only embedded loads can
-  // fan out over driver threads.
-  int nthreads = client_ != nullptr ? 1 : std::max(1, threads);
-  if (record_count > 0 && static_cast<uint64_t>(nthreads) > record_count) {
-    nthreads = static_cast<int>(record_count);
-  }
   const double device_before = DeviceBusySeconds();
   const auto wall_start = Clock::now();
-  if (nthreads == 1) {
-    CoreWorkload workload(WorkloadSpec::Load(), 0, key_bytes_, value_bytes_,
-                          seed_);
-    for (uint64_t i = 0; i < record_count; i++) {
-      const auto op_start = Clock::now();
-      Status s = OpPut(workload.NextInsertKey(), workload.NextValue());
-      if (!s.ok()) return s;
-      result->latency_micros.Add(MicrosSince(op_start));
-      result->inserts++;
-      result->operations++;
-    }
-  } else {
-    // Each thread owns a disjoint record-id range and a private workload
-    // instance (CoreWorkload is single-threaded); BuildKey keeps the key
-    // set identical to a serial load, whatever the interleaving.
-    std::vector<RunResult> partial(nthreads);
-    std::vector<Status> statuses(nthreads);
-    std::vector<std::thread> pool;
-    const uint64_t per = record_count / nthreads;
-    const uint64_t extra = record_count % nthreads;
-    uint64_t next_begin = 0;
-    for (int t = 0; t < nthreads; t++) {
-      const uint64_t begin = next_begin;
-      const uint64_t end =
-          begin + per + (static_cast<uint64_t>(t) < extra ? 1 : 0);
-      next_begin = end;
-      pool.emplace_back([this, t, begin, end, &partial, &statuses] {
-        CoreWorkload workload(WorkloadSpec::Load(), 0, key_bytes_,
-                              value_bytes_, seed_ + t);
-        for (uint64_t id = begin; id < end; id++) {
-          const auto op_start = Clock::now();
-          Status s = OpPut(workload.BuildKey(id), workload.NextValue());
-          if (!s.ok()) {
-            statuses[t] = s;
-            return;
-          }
-          partial[t].latency_micros.Add(MicrosSince(op_start));
-          partial[t].inserts++;
-          partial[t].operations++;
-        }
-      });
-    }
-    for (auto& th : pool) th.join();
-    for (int t = 0; t < nthreads; t++) {
-      if (!statuses[t].ok()) return statuses[t];
-      result->latency_micros.Merge(partial[t].latency_micros);
-      result->inserts += partial[t].inserts;
-      result->operations += partial[t].operations;
-    }
+  CoreWorkload workload(WorkloadSpec::Load(), 0, key_bytes_, value_bytes_,
+                        seed_);
+  for (uint64_t i = 0; i < record_count; i++) {
+    const auto op_start = Clock::now();
+    Status s = OpPut(workload.NextInsertKey(), workload.NextValue());
+    if (!s.ok()) return s;
+    result->latency_micros.Add(MicrosSince(op_start));
+    result->inserts++;
+    result->operations++;
   }
   Settle();
   result->wall_seconds = SecondsSince(wall_start);

@@ -59,12 +59,8 @@ class Runner {
       : client_(client), key_bytes_(key_bytes), value_bytes_(value_bytes),
         seed_(seed) {}
 
-  // Load `record_count` entries (YCSB load phase). `threads` > 1 splits
-  // the record range over that many driver threads — the concurrent-load
-  // mode a sharded stack is built for (each shard's pipeline stays fed).
-  // Embedded mode only; the remote client owns one connection, so remote
-  // loads clamp to a single thread.
-  Status Load(uint64_t record_count, RunResult* result, int threads = 1);
+  // Load `record_count` entries (YCSB load phase).
+  Status Load(uint64_t record_count, RunResult* result);
 
   // Run `op_count` operations of the given workload against a database
   // previously loaded with `record_count` entries.

@@ -2,8 +2,10 @@
 // (set allocation), and metadata-journal crash recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/dynamic_band_allocator.h"
 #include "fs/ext4_allocator.h"
@@ -151,6 +153,116 @@ TEST_F(FileStoreTest, SequentialFile) {
     got.append(result.data(), result.size());
   }
   EXPECT_EQ(payload, got);
+}
+
+// ---- readahead reader (compaction input scans) ----
+// (SmrdbDeterminismTest in smrdb_test.cc checks that compactions through
+// this reader issue the same drive requests on every run.)
+
+class ReadaheadTest : public FileStoreTest {
+ protected:
+  static constexpr uint64_t kWindow = 64 << 10;
+
+  std::string WriteFile(const std::string& name, size_t n, uint32_t seed) {
+    const std::string payload = RandomPayload(n, seed);
+    std::unique_ptr<WritableFile> f;
+    EXPECT_TRUE(store_->NewWritableFile(name, n, &f).ok());
+    EXPECT_TRUE(f->Append(payload).ok());
+    EXPECT_TRUE(f->Close().ok());
+    return payload;
+  }
+
+  std::unique_ptr<RandomAccessFile> OpenReadahead(const std::string& name,
+                                                  uint64_t window = kWindow) {
+    std::unique_ptr<RandomAccessFile> r;
+    EXPECT_TRUE(store_->NewReadaheadFile(name, window, &r).ok());
+    return r;
+  }
+
+  uint64_t DriveReads() const { return drive_->metrics().read_ops->Value(); }
+};
+
+TEST_F(ReadaheadTest, ReadsAcrossChunkBoundaries) {
+  const std::string payload = WriteFile("/db/t", 5 * kWindow + 1234, 11);
+  auto r = OpenReadahead("/db/t");
+  std::string buf(3 * kWindow, 0);
+  Slice result;
+  // Straddles the chunk 0 / chunk 1 boundary.
+  ASSERT_TRUE(r->Read(kWindow - 100, 300, &result, buf.data()).ok());
+  EXPECT_EQ(payload.substr(kWindow - 100, 300), result.ToString());
+  // Spans three chunks at once (two of them share a slot).
+  ASSERT_TRUE(r->Read(kWindow / 2, 2 * kWindow + 10, &result, buf.data())
+                  .ok());
+  EXPECT_EQ(payload.substr(kWindow / 2, 2 * kWindow + 10), result.ToString());
+  // Front-to-back in odd-sized steps, clipped at EOF.
+  std::string got;
+  for (uint64_t off = 0; off < payload.size(); off += result.size()) {
+    ASSERT_TRUE(r->Read(off, 7001, &result, buf.data()).ok());
+    ASSERT_FALSE(result.empty());
+    got.append(result.data(), result.size());
+  }
+  EXPECT_EQ(payload, got);
+  ASSERT_TRUE(r->Read(payload.size(), 10, &result, buf.data()).ok());
+  EXPECT_TRUE(result.empty());
+}
+
+TEST_F(ReadaheadTest, BackwardAndRandomReadsMissAndRefetch) {
+  const std::string payload = WriteFile("/db/t", 6 * kWindow, 12);
+  auto r = OpenReadahead("/db/t");
+  std::string buf(4096, 0);
+  Slice result;
+  // A read in chunk 4 fetches chunks 4 and 5.
+  const uint64_t reads0 = DriveReads();
+  ASSERT_TRUE(r->Read(4 * kWindow + 10, 100, &result, buf.data()).ok());
+  EXPECT_EQ(payload.substr(4 * kWindow + 10, 100), result.ToString());
+  const uint64_t reads1 = DriveReads();
+  EXPECT_GT(reads1, reads0);
+  // Chunk 5 is resident: no drive read.
+  ASSERT_TRUE(r->Read(5 * kWindow + 10, 100, &result, buf.data()).ok());
+  EXPECT_EQ(payload.substr(5 * kWindow + 10, 100), result.ToString());
+  EXPECT_EQ(reads1, DriveReads());
+  // Backward: chunk 0 is a miss and is fetched again from the drive.
+  ASSERT_TRUE(r->Read(20, 100, &result, buf.data()).ok());
+  EXPECT_EQ(payload.substr(20, 100), result.ToString());
+  EXPECT_GT(DriveReads(), reads1);
+  // Random offsets all read back correctly.
+  Random rnd(13);
+  for (int i = 0; i < 200; i++) {
+    const uint64_t off = rnd.Uniform(static_cast<int>(payload.size() - 1));
+    const size_t n = std::min<size_t>(1 + rnd.Uniform(4000),
+                                      payload.size() - off);
+    ASSERT_TRUE(r->Read(off, n, &result, buf.data()).ok());
+    ASSERT_EQ(payload.substr(off, n), result.ToString()) << "offset " << off;
+  }
+}
+
+TEST_F(ReadaheadTest, ReadErrorOnFetchedAheadChunkSurfacesOnUse) {
+  const std::string payload = WriteFile("/db/t", 3 * kWindow, 14);
+  std::vector<Extent> extents;
+  ASSERT_TRUE(store_->GetFileExtents("/db/t", &extents).ok());
+  ASSERT_EQ(extents.size(), 1u);
+  // One block of chunk 1 becomes unreadable.
+  const uint64_t bad = extents[0].offset + kWindow;
+  drive_->InjectReadError(bad, 4096, /*remaining_failures=*/-1);
+  auto r = OpenReadahead("/db/t");
+  std::string buf(4096, 0);
+  Slice result;
+  // Reading chunk 0 also fetches chunk 1, which fails; chunk 0's read
+  // still succeeds.
+  const uint64_t errors0 = drive_->metrics().read_errors->Value();
+  ASSERT_TRUE(r->Read(0, 4096, &result, buf.data()).ok());
+  EXPECT_EQ(payload.substr(0, 4096), result.ToString());
+  EXPECT_GT(drive_->metrics().read_errors->Value(), errors0);
+  ASSERT_TRUE(r->Read(kWindow - 4096, 4096, &result, buf.data()).ok());
+  EXPECT_EQ(payload.substr(kWindow - 4096, 4096), result.ToString());
+  // Using chunk 1 returns the kept error, also once the media healed.
+  EXPECT_TRUE(r->Read(kWindow, 100, &result, buf.data()).IsIOError());
+  drive_->ClearReadError(bad, 4096);
+  EXPECT_TRUE(r->Read(kWindow, 100, &result, buf.data()).IsIOError());
+  // A fresh reader fetches chunk 1 again.
+  auto again = OpenReadahead("/db/t");
+  ASSERT_TRUE(again->Read(kWindow, 100, &result, buf.data()).ok());
+  EXPECT_EQ(payload.substr(kWindow, 100), result.ToString());
 }
 
 TEST_F(FileStoreTest, RemoveFreesSpace) {

@@ -258,8 +258,9 @@ TEST_F(SealDbBehaviorTest, BandInspectorReportsSaneLayout) {
 }
 
 TEST_F(SealDbBehaviorTest, InvalidSetPriorityDrainsSets) {
-  // With prioritize_invalid_sets on, heavily churned ranges drain their
-  // sets and the FileStore reclaims whole regions (live sets stay bounded).
+  // Set-aware picking prefers sets with many invalidated members, so
+  // heavily churned ranges drain their sets and the FileStore reclaims
+  // whole regions (live sets stay bounded).
   Random rnd(6);
   for (int i = 0; i < 25000; i++) {
     ASSERT_TRUE(db_->Put(WriteOptions(), Key(rnd.Uniform(800)), Value(i))

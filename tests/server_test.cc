@@ -410,6 +410,70 @@ TEST_F(ServerTest, MalformedFramesGetTypedErrorsOrClose) {
   EXPECT_GE(ServerCounter("sealdb_server_protocol_errors_total"), 2u);
 }
 
+// A peer that hangs up while its request is still in flight must not make
+// the event loop spin until the request finishes: an EOF stays readable
+// and EPOLLHUP is reported whatever the interest mask. Both an orderly
+// close (FIN) and an abortive one (RST) are covered.
+TEST_F(ServerTest, HangupWithRequestInFlightDoesNotSpinTheLoop) {
+  server::ServerOptions opts;
+  opts.sync_writes = true;
+  StartServer(/*fault_injection=*/true, opts);
+  constexpr uint64_t kWriteDelayMicros = 50 * 1000;
+
+  for (const bool abortive : {false, true}) {
+    SCOPED_TRACE(abortive ? "RST" : "FIN");
+    const std::string key = abortive ? "hangup-rst" : "hangup-fin";
+    int fd = -1;
+    ASSERT_TRUE(net::ConnectTcp("127.0.0.1", server_->port(), &fd).ok());
+    // Every drive write now sleeps, so the synced put stays in flight.
+    stack_->fault_drive()->SetWriteDelayMicros(kWriteDelayMicros);
+    std::string req;
+    net::EncodePutRequest(&req, key, "v");
+    std::string frame;
+    // Distinct request ids: the write dedup window would ack a repeated id
+    // without applying it.
+    net::EncodeFrame(&frame, static_cast<uint8_t>(net::Op::kPut),
+                     abortive ? 2 : 1, req);
+    const uint64_t requests = ServerCounter("sealdb_server_requests_total");
+    ASSERT_TRUE(net::WriteFully(fd, frame.data(), frame.size()).ok());
+    // Hang up once the server has dispatched the put.
+    for (int i = 0; i < 500 &&
+                    ServerCounter("sealdb_server_requests_total") == requests;
+         i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const uint64_t wakes_before =
+        ServerCounter("sealdb_server_loop_wakeups_total");
+    if (abortive) {
+      linger lg{1, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+    }
+    net::CloseFd(fd);
+
+    // The put completes, its response is dropped, and the connection
+    // closes without the loop turning over in between.
+    std::string value;
+    for (int i = 0; i < 5000 && !stack_->db()->Get(ReadOptions(), key, &value)
+                                     .ok();
+         i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(stack_->db()->Get(ReadOptions(), key, &value).ok());
+    stack_->fault_drive()->SetWriteDelayMicros(0);
+    for (int i = 0; i < 1000 && server_->metrics_registry()->gauge_value(
+                                    "sealdb_server_connections_active") > 0;
+         i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(server_->metrics_registry()->gauge_value(
+                  "sealdb_server_connections_active"),
+              0.0);
+    const uint64_t wakes =
+        ServerCounter("sealdb_server_loop_wakeups_total") - wakes_before;
+    EXPECT_LT(wakes, 20u) << "loop woke " << wakes << " times";
+  }
+}
+
 TEST_F(ServerTest, ConcurrentClientsNoLostOrDuplicatedAcks) {
   StartServer();
   constexpr int kClients = 8;

@@ -165,4 +165,29 @@ TEST_F(SmrdbTest, IteratorOverOverlappingRuns) {
   EXPECT_EQ(mit, model.end());
 }
 
+// Compaction inputs stream through the readahead reader, whose chunk
+// fetches interleave with the merge's output writes. They run on the
+// compacting thread, so two identical loads (SMRDB's band-sized tables
+// span many chunks) move the head identically.
+TEST(SmrdbDeterminismTest, IdenticalLoadsIssueIdenticalDriveRequests) {
+  uint64_t ops[2], seeks[2];
+  for (int run = 0; run < 2; run++) {
+    std::unique_ptr<baselines::Stack> stack;
+    ASSERT_TRUE(baselines::BuildStack(TinySmrdbConfig(), "/db", &stack).ok());
+    Random rnd(7);
+    for (int i = 0; i < 20000; i++) {
+      ASSERT_TRUE(stack->db()
+                      ->Put(WriteOptions(), Key(rnd.Uniform(20000)), Value(i))
+                      .ok());
+    }
+    stack->db()->WaitForIdle();
+    const smr::DeviceMetrics& m = stack->drive()->metrics();
+    ops[run] = m.read_ops->Value() + m.write_ops->Value();
+    seeks[run] = m.seeks->Value();
+  }
+  EXPECT_GT(seeks[0], 0u);
+  EXPECT_EQ(ops[0], ops[1]);
+  EXPECT_EQ(seeks[0], seeks[1]);
+}
+
 }  // namespace sealdb
