@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <unordered_map>
 
 namespace sealdb::buf {
 
@@ -29,6 +30,10 @@ struct BufferPool::Frame {
   std::atomic<uint32_t> state{0};
   std::atomic<uint32_t> chances{0};
   uint8_t kind = 0;
+  // Neighbours on the file's frame list; guarded by the file's stripe
+  // mutex.
+  uint32_t file_prev = kInvalidFrame;
+  uint32_t file_next = kInvalidFrame;
   // Payload: read only after a pin (acquire CAS on state) or under the
   // partition mutex.
   void* value = nullptr;
@@ -44,6 +49,8 @@ struct BufferPool::Client {
   obs::Counter* pin[3] = {};
   obs::Counter* evict_clock[3] = {};
   obs::Counter* evict_drop[3] = {};
+  obs::Counter* admits = nullptr;
+  obs::Counter* admit_skips = nullptr;
   // Quarantined files whose pages must not re-enter the pool. ban_count
   // mirrors banned.size() so the Insert hot path can skip the mutex while
   // the set is empty (the overwhelmingly common case).
@@ -56,6 +63,33 @@ struct BufferPool::Client {
     std::lock_guard<std::mutex> l(ban_mu);
     return banned.count(file_number) != 0;
   }
+};
+
+// Heads of the per-file frame lists of the files whose keys hash to this
+// stripe; a file has an entry exactly while one of its pages is linked.
+struct BufferPool::FileStripe {
+  struct Key {
+    uint64_t owner;
+    uint64_t file_number;
+    bool operator==(const Key& o) const {
+      return owner == o.owner && file_number == o.file_number;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return std::hash<uint64_t>()(k.owner * 0x9E3779B97F4A7C15ull ^
+                                   k.file_number);
+    }
+  };
+  alignas(64) std::mutex mu;
+  std::unordered_map<Key, uint32_t, KeyHash> heads;  // guarded by mu
+};
+
+// A claimed frame whose payload is freed after the partition mutex drops.
+struct BufferPool::Dead {
+  void* value;
+  void (*deleter)(void*);
+  uint32_t idx;
 };
 
 BufferPool::PageRef& BufferPool::PageRef::operator=(PageRef&& o) noexcept {
@@ -109,6 +143,7 @@ BufferPool::BufferPool(const Config& config)
   while (parts < config.partitions && parts < buckets) parts <<= 1;
   partition_mask_ = parts - 1;
   partitions_ = std::make_unique<Partition[]>(parts);
+  file_stripes_ = std::make_unique<FileStripe[]>(kFileStripes);
 
   g_usage_ = registry_->RegisterGauge("sealdb_buf_usage_bytes",
                                       "Bytes resident in the buffer pool");
@@ -254,6 +289,127 @@ void BufferPool::UnlinkLocked(size_t b, uint32_t idx) {
   }
 }
 
+uint32_t BufferPool::FindLocked(size_t b, uint64_t owner,
+                                uint64_t file_number, uint64_t offset) const {
+  for (uint32_t cur = buckets_[b].load(std::memory_order_relaxed);
+       cur != kInvalidFrame;
+       cur = FrameAt(cur)->next.load(std::memory_order_relaxed)) {
+    const Frame* g = FrameAt(cur);
+    if (g->owner.load(std::memory_order_relaxed) == owner &&
+        g->file_number.load(std::memory_order_relaxed) == file_number &&
+        g->offset.load(std::memory_order_relaxed) == offset) {
+      return cur;
+    }
+  }
+  return kInvalidFrame;
+}
+
+void BufferPool::LinkLocked(size_t b, uint32_t idx, uint32_t state) {
+  Frame* f = FrameAt(idx);
+  f->next.store(buckets_[b].load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+  // This release-store publishes the payload fields.
+  f->state.store(state, std::memory_order_release);
+  buckets_[b].store(idx, std::memory_order_release);
+  FileListAdd(idx);
+}
+
+void BufferPool::DropLinkedLocked(size_t b, uint32_t idx,
+                                  std::vector<Dead>* dead) {
+  Frame* f = FrameAt(idx);
+  const uint64_t owner = f->owner.load(std::memory_order_relaxed);
+  const BlockKind kind = static_cast<BlockKind>(f->kind);
+  // Detach while the frame is still mapped: once it is doomed, a racing
+  // last unpin may free and reuse it.
+  UnlinkLocked(b, idx);
+  FileListRemove(idx);
+  bool claimed = false;
+  uint32_t s = f->state.load(std::memory_order_acquire);
+  for (;;) {
+    if ((s & kPinMask) != 0) {
+      // Pinned: doom it; the last unpin frees it. Lock-free pinners may
+      // race this CAS, hence the loop.
+      if (f->state.compare_exchange_weak(s, s | kDoomedBit,
+                                         std::memory_order_acq_rel)) {
+        break;
+      }
+    } else if (f->state.compare_exchange_weak(s, 0,
+                                              std::memory_order_acq_rel)) {
+      claimed = true;
+      break;
+    }
+  }
+  if (claimed) {
+    usage_.fetch_sub(f->charge, std::memory_order_relaxed);
+    dead->push_back({f->value, f->deleter, idx});
+  }
+  evictions_.fetch_add(1, std::memory_order_relaxed);
+  CountEviction(owner, kind, /*file_drop=*/true);
+}
+
+void BufferPool::FreeDead(const std::vector<Dead>& dead) {
+  for (const Dead& d : dead) {
+    if (d.deleter != nullptr) d.deleter(d.value);
+    FreeFrameSlot(d.idx);
+  }
+}
+
+BufferPool::FileStripe& BufferPool::StripeFor(uint64_t owner,
+                                              uint64_t file_number) const {
+  return file_stripes_[FileStripe::KeyHash()({owner, file_number}) %
+                       kFileStripes];
+}
+
+void BufferPool::FileListAdd(uint32_t idx) {
+  Frame* f = FrameAt(idx);
+  const FileStripe::Key key{f->owner.load(std::memory_order_relaxed),
+                            f->file_number.load(std::memory_order_relaxed)};
+  FileStripe& st = StripeFor(key.owner, key.file_number);
+  std::lock_guard<std::mutex> l(st.mu);
+  auto [it, inserted] = st.heads.try_emplace(key, idx);
+  f->file_prev = kInvalidFrame;
+  f->file_next = inserted ? kInvalidFrame : it->second;
+  if (!inserted) {
+    FrameAt(it->second)->file_prev = idx;
+    it->second = idx;
+  }
+}
+
+void BufferPool::FileListRemove(uint32_t idx) {
+  Frame* f = FrameAt(idx);
+  const FileStripe::Key key{f->owner.load(std::memory_order_relaxed),
+                            f->file_number.load(std::memory_order_relaxed)};
+  FileStripe& st = StripeFor(key.owner, key.file_number);
+  std::lock_guard<std::mutex> l(st.mu);
+  if (f->file_next != kInvalidFrame) {
+    FrameAt(f->file_next)->file_prev = f->file_prev;
+  }
+  if (f->file_prev != kInvalidFrame) {
+    FrameAt(f->file_prev)->file_next = f->file_next;
+  } else if (f->file_next != kInvalidFrame) {
+    st.heads[key] = f->file_next;
+  } else {
+    st.heads.erase(key);
+  }
+  f->file_prev = kInvalidFrame;
+  f->file_next = kInvalidFrame;
+}
+
+void BufferPool::FillFrame(uint32_t idx, uint64_t owner, uint64_t file_number,
+                           uint64_t offset, BlockKind kind, void* value,
+                           size_t charge, void (*deleter)(void*)) {
+  Frame* f = FrameAt(idx);
+  f->owner.store(owner, std::memory_order_relaxed);
+  f->file_number.store(file_number, std::memory_order_relaxed);
+  f->offset.store(offset, std::memory_order_relaxed);
+  f->kind = static_cast<uint8_t>(kind);
+  f->value = value;
+  f->charge = charge;
+  f->deleter = deleter;
+  f->chances.store(kInsertChances[static_cast<int>(kind)],
+                   std::memory_order_relaxed);
+}
+
 bool BufferPool::Lookup(const BufferClient& client, uint64_t file_number,
                         uint64_t offset, BlockKind kind, PageRef* out) {
   const uint64_t owner = client.owner;
@@ -342,16 +498,7 @@ void BufferPool::Insert(const BufferClient& client, uint64_t file_number,
   const size_t b = BucketFor(owner, file_number, offset);
   Partition& p = PartitionFor(b);
   const uint32_t idx = AllocFrame();
-  Frame* f = FrameAt(idx);
-  f->owner.store(owner, std::memory_order_relaxed);
-  f->file_number.store(file_number, std::memory_order_relaxed);
-  f->offset.store(offset, std::memory_order_relaxed);
-  f->kind = static_cast<uint8_t>(kind);
-  f->value = value;
-  f->charge = charge;
-  f->deleter = deleter;
-  f->chances.store(kInsertChances[static_cast<int>(kind)],
-                   std::memory_order_relaxed);
+  FillFrame(idx, owner, file_number, offset, kind, value, charge, deleter);
   {
     std::unique_lock<std::mutex> l(p.mu);
     // Quarantine ban check, under the same mutex EvictFile's purge takes:
@@ -365,18 +512,16 @@ void BufferPool::Insert(const BufferClient& client, uint64_t file_number,
     if (bc != nullptr && bc->IsBanned(file_number)) {
       l.unlock();
       usage_.fetch_add(charge, std::memory_order_relaxed);
-      f->state.store(kMappedBit | kDoomedBit | 1, std::memory_order_release);
+      FrameAt(idx)->state.store(kMappedBit | kDoomedBit | 1,
+                                std::memory_order_release);
       *out = PageRef(this, idx, value);
       return;
     }
     // Lost an insert race? The resident copy wins.
-    uint32_t cur = buckets_[b].load(std::memory_order_relaxed);
-    while (cur != kInvalidFrame) {
+    const uint32_t cur = FindLocked(b, owner, file_number, offset);
+    if (cur != kInvalidFrame) {
       Frame* g = FrameAt(cur);
-      if (g->owner.load(std::memory_order_relaxed) == owner &&
-          g->file_number.load(std::memory_order_relaxed) == file_number &&
-          g->offset.load(std::memory_order_relaxed) == offset &&
-          TryPin(g, 1 << 20)) {
+      if (TryPin(g, 1 << 20)) {
         RefreshChances(g, kind);
         *out = PageRef(this, cur, g->value);
         l.unlock();
@@ -385,18 +530,55 @@ void BufferPool::Insert(const BufferClient& client, uint64_t file_number,
         CountHit(client, kind, /*optimistic=*/false);
         return;
       }
-      cur = g->next.load(std::memory_order_relaxed);
     }
-    f->next.store(buckets_[b].load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    // Born pinned; this release-store publishes the payload fields.
-    f->state.store(kMappedBit | 1, std::memory_order_release);
-    buckets_[b].store(idx, std::memory_order_release);
+    LinkLocked(b, idx, kMappedBit | 1);  // born pinned
   }
   usage_.fetch_add(charge, std::memory_order_relaxed);
   auto* c = static_cast<Client*>(client.stats);
   if (c != nullptr) c->pin[static_cast<int>(kind)]->Inc();
   *out = PageRef(this, idx, value);
+}
+
+bool BufferPool::ReserveFreeRoom(const BufferClient& client, size_t charge) {
+  size_t used = usage_.load(std::memory_order_relaxed);
+  do {
+    if (used + charge > capacity_) {
+      auto* c = static_cast<Client*>(client.stats);
+      if (c != nullptr) c->admit_skips->Inc();
+      return false;
+    }
+  } while (!usage_.compare_exchange_weak(used, used + charge,
+                                         std::memory_order_relaxed));
+  return true;
+}
+
+bool BufferPool::LinkAdmitted(const BufferClient& client,
+                              uint64_t file_number, uint64_t offset,
+                              BlockKind kind, void* value, size_t charge,
+                              void (*deleter)(void*)) {
+  const uint64_t owner = client.owner;
+  const size_t b = BucketFor(owner, file_number, offset);
+  Partition& p = PartitionFor(b);
+  const uint32_t idx = AllocFrame();
+  FillFrame(idx, owner, file_number, offset, kind, value, charge, deleter);
+  auto* c = static_cast<Client*>(client.stats);
+  bool linked = false;
+  {
+    std::lock_guard<std::mutex> l(p.mu);
+    if ((c == nullptr || !c->IsBanned(file_number)) &&
+        FindLocked(b, owner, file_number, offset) == kInvalidFrame) {
+      LinkLocked(b, idx, kMappedBit);  // unpinned, cold
+      linked = true;
+    }
+  }
+  if (!linked) {
+    usage_.fetch_sub(charge, std::memory_order_relaxed);
+    FreeFrameSlot(idx);
+    if (deleter != nullptr) deleter(value);
+    return false;
+  }
+  if (c != nullptr) c->admits->Inc();
+  return true;
 }
 
 void BufferPool::EnsureRoom(size_t charge) {
@@ -469,6 +651,7 @@ bool BufferPool::TryReclaim(uint32_t idx) {
     p.version.fetch_add(1, std::memory_order_release);  // odd: unstable
     UnlinkLocked(b, idx);
     p.version.fetch_add(1, std::memory_order_release);
+    FileListRemove(idx);
     value = f->value;
     deleter = f->deleter;
     charge = f->charge;
@@ -485,6 +668,7 @@ bool BufferPool::TryReclaim(uint32_t idx) {
 void BufferPool::EvictFile(const BufferClient& client, uint64_t file_number,
                            bool ban) {
   if (client.pool != this) return;
+  const uint64_t owner = client.owner;
   if (ban) {
     // Ban strictly before the purge: once PurgeMatching returns there must
     // be no window in which a racing Insert can link a page of this file.
@@ -494,8 +678,47 @@ void BufferPool::EvictFile(const BufferClient& client, uint64_t file_number,
       c->banned.insert(file_number);
       c->ban_count.store(c->banned.size(), std::memory_order_release);
     }
+    PurgeMatching(owner, file_number, /*match_file=*/true);
+    return;
   }
-  PurgeMatching(client.owner, file_number, /*match_file=*/true);
+  std::vector<uint32_t> frames;
+  {
+    FileStripe& st = StripeFor(owner, file_number);
+    std::lock_guard<std::mutex> l(st.mu);
+    auto it = st.heads.find({owner, file_number});
+    if (it == st.heads.end()) return;
+    for (uint32_t idx = it->second; idx != kInvalidFrame;
+         idx = FrameAt(idx)->file_next) {
+      frames.push_back(idx);
+    }
+  }
+  std::vector<Dead> dead;
+  for (const uint32_t idx : frames) {
+    // Since the snapshot the frame may have been reclaimed, and reused
+    // for any page. Only a frame still linked in the bucket its identity
+    // names is pinned in place by that bucket's partition mutex.
+    Frame* f = FrameAt(idx);
+    if (f->owner.load(std::memory_order_relaxed) != owner ||
+        f->file_number.load(std::memory_order_relaxed) != file_number) {
+      continue;
+    }
+    const uint64_t off = f->offset.load(std::memory_order_relaxed);
+    const size_t b = BucketFor(owner, file_number, off);
+    Partition& p = PartitionFor(b);
+    {
+      std::lock_guard<std::mutex> l(p.mu);
+      if (f->owner.load(std::memory_order_relaxed) != owner ||
+          f->file_number.load(std::memory_order_relaxed) != file_number ||
+          f->offset.load(std::memory_order_relaxed) != off ||
+          !LinkedLocked(b, idx)) {
+        continue;
+      }
+      p.version.fetch_add(1, std::memory_order_release);  // odd: unstable
+      DropLinkedLocked(b, idx, &dead);
+      p.version.fetch_add(1, std::memory_order_release);
+    }
+  }
+  FreeDead(dead);
 }
 
 void BufferPool::UnbanFile(const BufferClient& client, uint64_t file_number) {
@@ -509,14 +732,9 @@ void BufferPool::UnbanFile(const BufferClient& client, uint64_t file_number) {
 
 void BufferPool::PurgeMatching(uint64_t owner, uint64_t file_number,
                                bool match_file) {
-  struct Dead {
-    void* value;
-    void (*deleter)(void*);
-    uint32_t idx;
-  };
   const size_t nparts = partition_mask_ + 1;
+  std::vector<Dead> dead;
   for (size_t pi = 0; pi < nparts; ++pi) {
-    std::vector<Dead> dead;
     Partition& p = partitions_[pi];
     {
       std::lock_guard<std::mutex> l(p.mu);
@@ -530,40 +748,15 @@ void BufferPool::PurgeMatching(uint64_t owner, uint64_t file_number,
           if (f->owner.load(std::memory_order_relaxed) == owner &&
               (!match_file || f->file_number.load(
                                   std::memory_order_relaxed) == file_number)) {
-            const BlockKind kind = static_cast<BlockKind>(f->kind);
-            bool claimed = false;
-            uint32_t s = f->state.load(std::memory_order_acquire);
-            for (;;) {
-              if ((s & kPinMask) != 0) {
-                // Pinned: doom it; the last unpin frees it. Lock-free
-                // pinners may race this CAS, hence the loop.
-                if (f->state.compare_exchange_weak(
-                        s, s | kDoomedBit, std::memory_order_acq_rel)) {
-                  break;
-                }
-              } else if (f->state.compare_exchange_weak(
-                             s, 0, std::memory_order_acq_rel)) {
-                claimed = true;
-                break;
-              }
-            }
-            UnlinkLocked(b, idx);
-            if (claimed) {
-              usage_.fetch_sub(f->charge, std::memory_order_relaxed);
-              dead.push_back({f->value, f->deleter, idx});
-            }
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-            CountEviction(owner, kind, /*file_drop=*/true);
+            DropLinkedLocked(b, idx, &dead);
           }
           idx = nxt;
         }
       }
       p.version.fetch_add(1, std::memory_order_release);
     }
-    for (const Dead& d : dead) {
-      if (d.deleter != nullptr) d.deleter(d.value);
-      FreeFrameSlot(d.idx);
-    }
+    FreeDead(dead);
+    dead.clear();
   }
 }
 
@@ -597,6 +790,13 @@ BufferClient BufferPool::RegisterClient(const std::string& shard_label) {
     client->evict_drop[k] = registry_->RegisterCounter(
         "sealdb_buf_evictions_total", ev_help, with("cause", "drop"));
   }
+  client->admits = registry_->RegisterCounter(
+      "sealdb_buf_compaction_admits_total",
+      "Compaction output blocks admitted into free pool room", base);
+  client->admit_skips = registry_->RegisterCounter(
+      "sealdb_buf_compaction_admit_skips_total",
+      "Compaction output blocks not admitted for lack of free pool room",
+      base);
   Client* raw = client.get();
   clients_.push_back(std::move(client));
   return BufferClient{this, raw->owner, raw};

@@ -25,7 +25,11 @@
 // or under the partition mutex, both of which synchronize with the
 // release-store that published the frame.
 //
-// Pages owned by files that die in compaction are purged via EvictFile();
+// Compaction writes its output data blocks through to the pool with
+// Admit(), but only into free room: admission never evicts a page.
+//
+// Pages owned by files that die in compaction are purged via EvictFile(),
+// which visits only that file's frames through a per-file frame list;
 // frames still pinned at that point are doomed (unlinked, invisible to
 // lookups) and freed by the last unpin. A whole client (one TableCache
 // incarnation) unregisters on teardown, purging every frame it owns, so
@@ -128,8 +132,26 @@ class BufferPool {
               uint64_t offset, BlockKind kind, void* value, size_t charge,
               void (*deleter)(void*), PageRef* out);
 
+  // Write-through admission of a page that was just written, not read:
+  // links make() (ownership passes to the pool) unpinned and cold, but
+  // only while the pool has free room for `charge` bytes. It never evicts
+  // a page to make room, and make() runs only after the room is reserved,
+  // so a full pool costs one atomic load. Returns whether the page was
+  // admitted; a resident copy of the page or a ban also declines it.
+  template <typename MakeValue>
+  bool Admit(const BufferClient& client, uint64_t file_number,
+             uint64_t offset, BlockKind kind, size_t charge, MakeValue&& make,
+             void (*deleter)(void*)) {
+    if (!ReserveFreeRoom(client, charge)) return false;
+    return LinkAdmitted(client, file_number, offset, kind, make(), charge,
+                        deleter);
+  }
+
   // Drop every page of (client.owner, file_number): dead SSTable after
   // compaction. Pinned pages are doomed and freed by the last unpin.
+  // Takes time proportional to the file's resident pages, not to the
+  // pool; an Insert of the file that races the call may stay resident
+  // (dead files are never read again, so none does).
   //
   // `ban` additionally bans the file for this client: a later Insert of
   // (owner, file_number) gets its page back born doomed — pinned and
@@ -139,7 +161,8 @@ class BufferPool {
   // (or that loses the duplicate-insert race after the purge) cannot put
   // pages of a quarantined file back into the pool. Compaction-dead files
   // don't ban (their numbers are never read again), so the set stays
-  // small.
+  // small. A ban walks the whole page table, which serializes it after
+  // every racing Insert.
   void EvictFile(const BufferClient& client, uint64_t file_number,
                  bool ban = false);
   // Lift a ban (quarantine cleared after a successful repair/rewrite).
@@ -173,6 +196,8 @@ class BufferPool {
  private:
   struct Frame;
   struct Client;
+  struct FileStripe;
+  struct Dead;
   struct alignas(64) Partition {
     std::mutex mu;
     // Seqlock: odd while a chain in this partition is being unlinked.
@@ -189,6 +214,7 @@ class BufferPool {
   static constexpr int kMaxOptimisticSteps = 32;
   static constexpr int kMaxPinAttempts = 4;
   static constexpr uint32_t kSweepChunk = 32;
+  static constexpr size_t kFileStripes = 16;
 
   Frame* FrameAt(uint32_t idx) const;
   uint32_t AllocFrame();
@@ -204,6 +230,32 @@ class BufferPool {
   bool LinkedLocked(size_t b, uint32_t idx) const;
   // Remove idx from bucket b's chain; partition mutex held, version odd.
   void UnlinkLocked(size_t b, uint32_t idx);
+  // The frame in bucket b's chain holding (owner, file, offset), or
+  // kInvalidFrame; partition mutex held.
+  uint32_t FindLocked(size_t b, uint64_t owner, uint64_t file_number,
+                      uint64_t offset) const;
+  // Publish idx (identity and payload already filled) with `state` at the
+  // head of bucket b's chain and of its file's frame list; partition
+  // mutex held.
+  void LinkLocked(size_t b, uint32_t idx, uint32_t state);
+  // Doom (pinned) or claim (unpinned) the linked frame idx and detach it
+  // from bucket b and its file's list; partition mutex held, version odd.
+  // A claimed frame is appended to *dead for the caller to free unlocked.
+  void DropLinkedLocked(size_t b, uint32_t idx, std::vector<Dead>* dead);
+  void FreeDead(const std::vector<Dead>& dead);
+  // Per-file frame lists: a frame is on its file's list exactly while it
+  // is linked in the page table. A stripe mutex nests inside a partition
+  // mutex.
+  FileStripe& StripeFor(uint64_t owner, uint64_t file_number) const;
+  void FileListAdd(uint32_t idx);
+  void FileListRemove(uint32_t idx);
+  void FillFrame(uint32_t idx, uint64_t owner, uint64_t file_number,
+                 uint64_t offset, BlockKind kind, void* value, size_t charge,
+                 void (*deleter)(void*));
+  bool ReserveFreeRoom(const BufferClient& client, size_t charge);
+  bool LinkAdmitted(const BufferClient& client, uint64_t file_number,
+                    uint64_t offset, BlockKind kind, void* value,
+                    size_t charge, void (*deleter)(void*));
   void EnsureRoom(size_t charge);
   // Claim one unpinned, out-of-chances frame; returns true if reclaimed.
   bool TryReclaim(uint32_t idx);
@@ -220,6 +272,7 @@ class BufferPool {
   size_t partition_mask_ = 0;
   std::unique_ptr<std::atomic<uint32_t>[]> buckets_;
   std::unique_ptr<Partition[]> partitions_;
+  std::unique_ptr<FileStripe[]> file_stripes_;
 
   // Frame storage: chunks are allocated under free_mu_ and never freed or
   // moved, so FrameAt() is safe without any lock.

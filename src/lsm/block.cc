@@ -38,6 +38,8 @@ Block::~Block() {
   }
 }
 
+void DeleteBlockPage(void* block) { delete static_cast<Block*>(block); }
+
 // Helper routine: decode the next block entry starting at "p",
 // storing the number of shared key bytes, non_shared key bytes,
 // and the length of the value in "*shared", "*non_shared", and

@@ -36,4 +36,7 @@ class Block {
   bool owned_;               // Block owns data_[]
 };
 
+// Deleter for a Block held as a buffer-pool page.
+void DeleteBlockPage(void* block);
+
 }  // namespace sealdb

@@ -31,6 +31,17 @@ static uint64_t NowMicros() {
           .count());
 }
 
+static uint64_t NowNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+// DoCompactionWork times the read/merge/write steps of every this-many-th
+// input key only (DESIGN.md §7).
+constexpr uint64_t kStageSampleStride = 32;
+
 // Information kept for every waiting writer
 struct DBImpl::Writer {
   explicit Writer(std::mutex* mu)
@@ -77,6 +88,9 @@ struct DBImpl::CompactionState {
   TableBuilder* builder;
 
   uint64_t total_bytes;
+
+  // Wall time spent in Open/FinishCompactionOutputFile.
+  uint64_t output_nanos = 0;
 
   // SEALDB: FileStore region holding the whole output set (0 = none).
   uint64_t region_id;
@@ -279,7 +293,6 @@ void DBImpl::RemoveObsoleteFiles() {
         files_to_delete.push_back(std::move(filename));
         if (type == kTableFile) {
           tables_to_delete.push_back(number);
-          table_cache_->Evict(number);
         }
       }
     }
@@ -288,7 +301,12 @@ void DBImpl::RemoveObsoleteFiles() {
   // While deleting all files unblock other threads. All files being deleted
   // have unique names which will not collide with newly created files and
   // are therefore safe to delete while allowing other threads to proceed.
+  // Dead table numbers are in no live version and never reused, so their
+  // cached tables and pool pages can be dropped unlocked too.
   mutex_.unlock();
+  for (uint64_t number_deleted : tables_to_delete) {
+    table_cache_->Evict(number_deleted);
+  }
   for (const std::string& filename : files_to_delete) {
     store_->RemoveFile(filename);
   }
@@ -924,6 +942,7 @@ void DBImpl::CleanupCompaction(CompactionState* compact) {
 Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
   assert(compact != nullptr);
   assert(compact->builder == nullptr);
+  const uint64_t start = NowNanos();
   uint64_t file_number;
   {
     mutex_.lock();
@@ -951,8 +970,13 @@ Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
         &compact->outfile);
   }
   if (s.ok()) {
-    compact->builder = new TableBuilder(options_, compact->outfile.get());
+    // Write the outputs through to the pool: their blocks replace the
+    // inputs' pages, which die with the inputs.
+    compact->builder =
+        new TableBuilder(options_, compact->outfile.get(),
+                         table_cache_->buffer_client(), file_number);
   }
+  compact->output_nanos += NowNanos() - start;
   return s;
 }
 
@@ -961,6 +985,7 @@ Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
   assert(compact != nullptr);
   assert(compact->outfile != nullptr);
   assert(compact->builder != nullptr);
+  const uint64_t start = NowNanos();
 
   const uint64_t output_number = compact->current_output()->number;
   assert(output_number != 0);
@@ -992,6 +1017,7 @@ Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
     s = iter->status();
     delete iter;
   }
+  compact->output_nanos += NowNanos() - start;
   return s;
 }
 
@@ -1030,7 +1056,9 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
 
   compactions_in_flight_++;
   em_.max_parallel->SetMax(compactions_in_flight_);
-  uint64_t read_micros = 0, merge_micros = 0, write_micros = 0;
+  if (hold_min_level_ >= 0) {
+    HoldForParallelCompaction(compact->compaction->level());
+  }
 
   if (snapshots_.empty()) {
     compact->smallest_snapshot = versions_->LastSequence();
@@ -1079,9 +1107,27 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
   // Release mutex while we're actually doing the compaction work
   mutex_.unlock();
 
-  uint64_t stage_start = NowMicros();
+  // Stage split: the loop's total and every output file open/finish are
+  // timed exactly; only every kStageSampleStride-th key times its read,
+  // merge and write steps, and the loop's remaining time is divided
+  // between the stages in the sampled proportions.
+  const uint64_t loop_start = NowNanos();
   input->SeekToFirst();
-  read_micros += NowMicros() - stage_start;
+  const uint64_t seek_nanos = NowNanos() - loop_start;
+  uint64_t flush_nanos = 0;  // memtable flushes run from this loop
+  uint64_t sampled_read = 0, sampled_merge = 0, sampled_write = 0;
+  uint64_t keys = 0;
+  // A sampled step excludes output file open/finish: those are timed
+  // exactly and charged to write.
+  uint64_t step_start = 0, step_output = 0;
+  auto end_step = [&](uint64_t* sampled_total) {
+    const uint64_t now = NowNanos();
+    const uint64_t output = compact->output_nanos - step_output;
+    const uint64_t elapsed = now - step_start;
+    *sampled_total += elapsed > output ? elapsed - output : 0;
+    step_start = now;
+    step_output = compact->output_nanos;
+  };
   Status status;
   ParsedInternalKey ikey;
   std::string current_user_key;
@@ -1091,6 +1137,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
     // Prioritize immutable compaction work
     if (has_imm_.load(std::memory_order_relaxed) &&
         !options_.inline_compactions) {
+      const uint64_t flush_start = NowNanos();
       mutex_.lock();
       if (imm_ != nullptr && !imm_flush_in_flight_) {
         imm_flush_in_flight_ = true;
@@ -1101,9 +1148,14 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
         background_wakeup_.notify_all();
       }
       mutex_.unlock();
+      flush_nanos += NowNanos() - flush_start;
     }
 
-    stage_start = NowMicros();
+    const bool sampled = keys++ % kStageSampleStride == 0;
+    if (sampled) {
+      step_start = NowNanos();
+      step_output = compact->output_nanos;
+    }
     Slice key = input->key();
     if (compact->compaction->ShouldStopBefore(key) &&
         compact->builder != nullptr) {
@@ -1148,10 +1200,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
 
       last_sequence_for_key = ikey.sequence;
     }
-
-    uint64_t now = NowMicros();
-    merge_micros += now - stage_start;
-    stage_start = now;
+    if (sampled) end_step(&sampled_merge);
 
     if (!drop) {
       // Open output file if necessary
@@ -1177,25 +1226,39 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
       }
     }
 
-    now = NowMicros();
-    write_micros += now - stage_start;
+    if (sampled) end_step(&sampled_write);
     input->Next();
-    read_micros += NowMicros() - now;
+    if (sampled) end_step(&sampled_read);
   }
 
   if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
     status = Status::IOError("Deleting DB during compaction");
   }
   if (status.ok() && compact->builder != nullptr) {
-    stage_start = NowMicros();
     status = FinishCompactionOutputFile(compact, input);
-    write_micros += NowMicros() - stage_start;
   }
   if (status.ok()) {
     status = input->status();
   }
   delete input;
   input = nullptr;
+
+  const uint64_t loop_nanos = NowNanos() - loop_start - flush_nanos;
+  const uint64_t per_key_nanos =
+      loop_nanos > seek_nanos + compact->output_nanos
+          ? loop_nanos - seek_nanos - compact->output_nanos
+          : 0;
+  const uint64_t sampled_total = sampled_read + sampled_merge + sampled_write;
+  const double scale =
+      sampled_total > 0 ? static_cast<double>(per_key_nanos) / sampled_total
+                        : 0.0;
+  const uint64_t read_nanos =
+      seek_nanos + static_cast<uint64_t>(sampled_read * scale);
+  const uint64_t merge_nanos = static_cast<uint64_t>(sampled_merge * scale);
+  const uint64_t write_nanos =
+      loop_nanos > read_nanos + merge_nanos
+          ? loop_nanos - read_nanos - merge_nanos
+          : 0;
 
   if (status.ok() && compact->region_id != 0) {
     // Return the unused tail of the set region to the free-space list.
@@ -1210,16 +1273,16 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
   em_.compaction_read_bytes->Add(input_bytes);
   em_.compaction_write_bytes->Add(compact->total_bytes);
   em_.compaction_device->AddSeconds(device_seconds);
-  em_.read_micros->AddMicros(read_micros);
-  em_.merge_micros->AddMicros(merge_micros);
-  em_.write_micros->AddMicros(write_micros);
-  em_.compaction_micros_at(out_level)->AddMicros(read_micros + merge_micros +
-                                                 write_micros);
+  em_.read_micros->AddNanos(read_nanos);
+  em_.merge_micros->AddNanos(merge_nanos);
+  em_.write_micros->AddNanos(write_nanos);
+  em_.compaction_micros_at(out_level)->AddNanos(read_nanos + merge_nanos +
+                                                write_nanos);
 
   if (status.ok()) {
-    stage_start = NowMicros();
+    const uint64_t install_start = NowMicros();
     status = InstallCompactionResults(compact);
-    em_.install_micros->AddMicros(NowMicros() - stage_start);
+    em_.install_micros->AddMicros(NowMicros() - install_start);
   }
   if (!status.ok()) {
     RecordBackgroundError(status);
@@ -1304,6 +1367,35 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
   *seed = ++seed_;
   mutex_.unlock();
   return internal_iter;
+}
+
+void DBImpl::TEST_HoldCompactionUntilParallel(
+    int min_level, std::chrono::milliseconds budget) {
+  std::lock_guard<std::mutex> l(mutex_);
+  hold_min_level_ = min_level;
+  hold_until_ = std::chrono::steady_clock::now() + budget;
+}
+
+void DBImpl::HoldForParallelCompaction(int level) {
+  if (compactions_in_flight_ >= 2 ||
+      std::chrono::steady_clock::now() >= hold_until_) {
+    hold_min_level_ = -1;
+    background_work_finished_signal_.notify_all();  // release a held one
+    return;
+  }
+  if (level < hold_min_level_ ||
+      versions_->NumLevelBytes(level) <= versions_->MaxBytesForLevel(level)) {
+    return;
+  }
+  pick_exhausted_ = false;
+  background_wakeup_.notify_all();
+  const auto until = std::min(
+      hold_until_,
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250));
+  background_work_finished_signal_.wait_until(mutex_, until, [this] {
+    return compactions_in_flight_ >= 2 ||
+           shutting_down_.load(std::memory_order_acquire);
+  });
 }
 
 Iterator* DBImpl::TEST_NewInternalIterator() {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -89,6 +90,15 @@ class DBImpl : public DB {
   // file at a level >= 1.
   int64_t TEST_MaxNextLevelOverlappingBytes();
 
+  // Until two compactions have run at once, or `budget` has passed, a
+  // compaction that starts with no other in flight, from `min_level` or
+  // deeper and from a level over its size target (so the picker has more
+  // of that level to offer), wakes the idle workers and waits up to
+  // 250 ms for a second one to start. Makes the executor's overlap
+  // observable without depending on how threads are scheduled.
+  void TEST_HoldCompactionUntilParallel(int min_level,
+                                        std::chrono::milliseconds budget);
+
  private:
   friend class DB;
   struct CompactionState;
@@ -148,6 +158,8 @@ class DBImpl : public DB {
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   Status DoCompactionWork(CompactionState* compact)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // TEST_HoldCompactionUntilParallel's gate, called as a compaction starts.
+  void HoldForParallelCompaction(int level) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   Status OpenCompactionOutputFile(CompactionState* compact);
   Status FinishCompactionOutputFile(CompactionState* compact, Iterator* input);
@@ -212,6 +224,9 @@ class DBImpl : public DB {
   bool removing_obsolete_files_ = false;
   bool in_inline_compaction_ = false;
   CompactionReservations reservations_;
+  // TEST_HoldCompactionUntilParallel state; -1 = disarmed.
+  int hold_min_level_ = -1;
+  std::chrono::steady_clock::time_point hold_until_;
 
   std::unique_ptr<VersionSet> versions_;
 

@@ -27,8 +27,6 @@ void DeleteFilterPageValue(void* value) {
   delete static_cast<FilterPage*>(value);
 }
 
-void DeleteBlockValue(void* value) { delete static_cast<Block*>(value); }
-
 }  // namespace
 
 struct Table::Rep {
@@ -94,7 +92,7 @@ Status Table::Open(const Options& options, fs::RandomAccessFile* file,
       if (buffer && index_block_contents.cachable) {
         buffer.pool->Insert(buffer, file_number, index_offset,
                             buf::BlockKind::kIndex, index_block,
-                            index_block->size(), &DeleteBlockValue,
+                            index_block->size(), &DeleteBlockPage,
                             &index_page);
         // A racing open may have inserted this index first, in which case
         // the resident copy won and ours was deleted.
@@ -238,7 +236,7 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
           if (contents.cachable && options.fill_cache) {
             buffer.pool->Insert(buffer, table->rep_->file_number,
                                 handle.offset(), buf::BlockKind::kData,
-                                block, block->size(), &DeleteBlockValue,
+                                block, block->size(), &DeleteBlockPage,
                                 &page);
             // If a racing reader inserted this page first, the resident
             // copy won and ours was deleted: always adopt the pinned one.

@@ -1,8 +1,10 @@
 #include "lsm/table_builder.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "fs/file_store.h"
+#include "lsm/block.h"
 #include "lsm/block_builder.h"
 #include "lsm/filter_block.h"
 #include "lsm/format.h"
@@ -14,10 +16,13 @@
 namespace sealdb {
 
 struct TableBuilder::Rep {
-  Rep(const Options& opt, fs::WritableFile* f)
+  Rep(const Options& opt, fs::WritableFile* f, const buf::BufferClient& pool,
+      uint64_t number)
       : options(opt),
         index_block_options(opt),
         file(f),
+        admit_to(pool),
+        file_number(number),
         offset(0),
         data_block(&options),
         index_block(&index_block_options),
@@ -33,6 +38,8 @@ struct TableBuilder::Rep {
   Options options;
   Options index_block_options;
   fs::WritableFile* file;
+  const buf::BufferClient admit_to;
+  const uint64_t file_number;
   uint64_t offset;
   Status status;
   BlockBuilder data_block;
@@ -49,8 +56,10 @@ struct TableBuilder::Rep {
   BlockHandle pending_handle;  // Handle to add to index block
 };
 
-TableBuilder::TableBuilder(const Options& options, fs::WritableFile* file)
-    : rep_(new Rep(options, file)) {
+TableBuilder::TableBuilder(const Options& options, fs::WritableFile* file,
+                           const buf::BufferClient& admit_to,
+                           uint64_t file_number)
+    : rep_(new Rep(options, file, admit_to, file_number)) {
   if (rep_->filter_block != nullptr) {
     rep_->filter_block->StartBlock(0);
   }
@@ -99,11 +108,16 @@ void TableBuilder::Flush() {
   if (!ok()) return;
   if (r->data_block.empty()) return;
   assert(!r->pending_index_entry);
-  WriteBlock(&r->data_block, &r->pending_handle);
+  const Slice contents = r->data_block.Finish();
+  WriteRawBlock(contents, &r->pending_handle);
   if (ok()) {
     r->pending_index_entry = true;
     r->status = r->file->Flush();
   }
+  if (ok()) {
+    AdmitDataBlock(contents, r->pending_handle.offset());
+  }
+  r->data_block.Reset();
   if (r->filter_block != nullptr) {
     r->filter_block->StartBlock(r->offset);
   }
@@ -137,6 +151,23 @@ void TableBuilder::WriteRawBlock(const Slice& block_contents,
       r->offset += block_contents.size() + kBlockTrailerSize;
     }
   }
+}
+
+void TableBuilder::AdmitDataBlock(const Slice& contents, uint64_t offset) {
+  const buf::BufferClient& pool = rep_->admit_to;
+  if (!pool) return;
+  pool.pool->Admit(
+      pool, rep_->file_number, offset, buf::BlockKind::kData, contents.size(),
+      [&contents] {
+        char* copy = new char[contents.size()];
+        std::memcpy(copy, contents.data(), contents.size());
+        BlockContents page;
+        page.data = Slice(copy, contents.size());
+        page.cachable = true;
+        page.heap_allocated = true;
+        return static_cast<void*>(new Block(page));
+      },
+      &DeleteBlockPage);
 }
 
 Status TableBuilder::status() const { return rep_->status; }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "buf/buffer_pool.h"
 #include "util/options.h"
 #include "util/slice.h"
 #include "util/status.h"
@@ -21,7 +22,14 @@ class TableBuilder {
  public:
   // Create a builder that will store the contents of the table it is
   // building in *file.  Does not close the file.
-  TableBuilder(const Options& options, fs::WritableFile* file);
+  //
+  // When `admit_to` names a buffer-pool client, each data block the file
+  // accepts is also offered to that pool as the page a later read of
+  // (admit_to.owner, file_number, block offset) would insert; the pool
+  // takes it only while it has free room (BufferPool::Admit).
+  TableBuilder(const Options& options, fs::WritableFile* file,
+               const buf::BufferClient& admit_to = {},
+               uint64_t file_number = 0);
 
   TableBuilder(const TableBuilder&) = delete;
   TableBuilder& operator=(const TableBuilder&) = delete;
@@ -56,6 +64,7 @@ class TableBuilder {
   bool ok() const { return status().ok(); }
   void WriteBlock(BlockBuilder* block, BlockHandle* handle);
   void WriteRawBlock(const Slice& data, BlockHandle* handle);
+  void AdmitDataBlock(const Slice& contents, uint64_t offset);
 
   struct Rep;
   Rep* rep_;

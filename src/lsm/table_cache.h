@@ -54,6 +54,10 @@ class TableCache {
   // resurrect them (see BufferPool::EvictFile).
   void Evict(uint64_t file_number, bool ban = false);
 
+  // This cache's buffer-pool registration (empty without a pool); table
+  // builders of compaction outputs admit their blocks under it.
+  const buf::BufferClient& buffer_client() const { return buffer_; }
+
  private:
   Status FindTable(uint64_t file_number, uint64_t file_size,
                    Cache::Handle**);

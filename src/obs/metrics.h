@@ -73,6 +73,7 @@ class TimeCounter {
     if (s > 0) nanos_.Add(static_cast<uint64_t>(s * 1e9 + 0.5));
   }
   void AddMicros(uint64_t us) { nanos_.Add(us * 1000); }
+  void AddNanos(uint64_t ns) { nanos_.Add(ns); }
   double Seconds() const { return nanos_.Value() / 1e9; }
   uint64_t Nanos() const { return nanos_.Value(); }
   uint64_t Micros() const { return nanos_.Value() / 1000; }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -15,6 +16,7 @@
 
 #include "baselines/presets.h"
 #include "lsm/db.h"
+#include "lsm/db_impl.h"
 #include "lsm/version_set.h"
 #include "util/comparator.h"
 #include "util/random.h"
@@ -150,6 +152,15 @@ class ParallelCompactionTest : public ::testing::TestWithParam<SystemKind> {
     db_ = stack_->db();
   }
 
+  // L0 compactions span every key prefix, so only deeper merges can run
+  // side by side: hold the first of those that starts alone until a
+  // second one starts, so the overlap does not depend on scheduling.
+  void HoldUntilParallel() {
+    auto* impl = dynamic_cast<DBImpl*>(db_);
+    ASSERT_NE(impl, nullptr);
+    impl->TEST_HoldCompactionUntilParallel(1, std::chrono::seconds(20));
+  }
+
   std::unique_ptr<Stack> stack_;
   DB* db_ = nullptr;
 };
@@ -162,6 +173,8 @@ TEST_P(ParallelCompactionTest, ConcurrentWritersAndReaders) {
   constexpr int kShards = 4;
   constexpr int kKeysPerShard = 2000;
   constexpr int kOpsPerShard = 8000;
+
+  HoldUntilParallel();
 
   std::atomic<bool> failed{false};
   std::atomic<bool> done{false};
@@ -263,6 +276,7 @@ TEST_P(ParallelCompactionTest, ConcurrentWritersAndReaders) {
 }
 
 TEST_P(ParallelCompactionTest, StatsExposeParallelismAndStages) {
+  HoldUntilParallel();
   Random rnd(9);
   for (int i = 0; i < 20000; i++) {
     ASSERT_TRUE(db_->Put(WriteOptions(), Key(i % 4, rnd.Uniform(2000)),
